@@ -37,11 +37,17 @@ from .operad import (
     act,
     format_element,
     from_vector,
-    full_compose,
     partial_compose,
     to_vector,
 )
-from .perms import Permutation, all_permutations, multiply, perm_index
+from .perms import (
+    all_permutations,
+    multiply,
+    perm_index,
+    sn_generators,
+    unit_contraction_table,
+    unit_shift_table,
+)
 
 __all__ = [
     "BudgetExceeded",
@@ -153,18 +159,12 @@ class IdealSlice:
 
 @lru_cache(maxsize=None)
 def _action_tables(arity: int) -> tuple[tuple[int, ...], ...]:
-    """Index translation tables for right multiplication by a generating
-    pair of S_arity (adjacent swap and full cycle)."""
-    if arity < 2:
-        return ()
-    swap = Permutation((2, 1) + tuple(range(3, arity + 1)))
-    cycle = Permutation(tuple(range(2, arity + 1)) + (1,))
-    generators = [swap] if arity == 2 else [swap, cycle]
+    """Index translation tables for right multiplication by the generating
+    pair of S_arity."""
     perms = all_permutations(arity)
-    tables = []
-    for g in generators:
-        tables.append(tuple(perm_index(multiply(p, g)) for p in perms))
-    return tuple(tables)
+    return tuple(
+        tuple(perm_index(multiply(p, g)) for p in perms) for g in sn_generators(arity)
+    )
 
 
 def _saturate_under_action(basis: RowBasis, arity: int) -> None:
@@ -198,26 +198,50 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
 def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]:
     """The spanning family before the symmetric-group closure: every
     generator wrapped as 1_3 o (1_r, theta o (1_{s_1},...,1_{s_l}), 1_t)
-    with r + sum(s) + t = n; contractions (s_i = 0) only in unital mode."""
+    with r + sum(s) + t = n; contractions (s_i = 0) only in unital mode.
+
+    Runs on permutation indices.  The contracted middle depends only on
+    the composition s, so it is formed once per s through an index table
+    and dropped if it cancels; the unit wrap is an injective shift of
+    indices S_m -> S_n, applied per (r, t).  The order is r, t, s.
+    """
     s_min = 0 if gens.mode == UNITAL else 1
-    outer = OperadElement.unit(3)
+    fact_n = math.factorial(n)
+    contractions: dict[tuple[int, ...], list[int]] = {}
+    shifts: dict[tuple[int, int], list[int]] = {}
     for theta in gens.elements:
-        slots = theta.arity
-        for r in range(n + 1):
-            left = OperadElement.unit(r)
-            for t in range(n - r + 1):
-                right = OperadElement.unit(t)
-                remainder = n - r - t
-                for s in _compositions(remainder, slots, s_min):
-                    if slots:
-                        middle = full_compose(
-                            theta, [OperadElement.unit(k) for k in s]
-                        )
+        terms = [(perm_index(p), c) for p, c in theta.items()]
+        # middles[m]: the nonzero contracted middles of arity m, in s order
+        middles: list[list[dict[int, Fraction]]] = []
+        for m in range(n + 1):
+            found = []
+            for s in _compositions(m, theta.arity, s_min):
+                table = contractions.get(s)
+                if table is None:
+                    table = contractions[s] = unit_contraction_table(s)
+                middle: dict[int, Fraction] = {}
+                for i, c in terms:
+                    j = table[i]
+                    value = middle.get(j, 0) + c
+                    if value:
+                        middle[j] = value
                     else:
-                        middle = theta
-                    element = full_compose(outer, [left, middle, right])
-                    if not element.is_zero():
-                        yield to_vector(element)
+                        middle.pop(j, None)
+                if middle:
+                    found.append(middle)
+            middles.append(found)
+        for r in range(n + 1):
+            for t in range(n - r + 1):
+                m = n - r - t
+                if not middles[m]:
+                    continue
+                shift = shifts.get((r, m))
+                if shift is None:
+                    shift = shifts[r, m] = unit_shift_table(r, m, t)
+                for middle in middles[m]:
+                    vec = SparseVector(fact_n)
+                    vec.entries = {shift[j]: c for j, c in middle.items()}
+                    yield vec
 
 
 def ideal_slice_spanning(
@@ -275,20 +299,10 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
         if lo <= theta.arity <= hi and bases[theta.arity].insert(to_vector(theta)):
             queue.append(theta)
             rank_total += 1
-    swap_cache: dict[int, list[Permutation]] = {}
     while queue and rank_total < total_capacity:
         theta = queue.pop()
         m = theta.arity
-        images: list[OperadElement] = []
-        if m >= 2:
-            group_gens = swap_cache.get(m)
-            if group_gens is None:
-                swap = Permutation((2, 1) + tuple(range(3, m + 1)))
-                cycle = Permutation(tuple(range(2, m + 1)) + (1,))
-                group_gens = [swap] if m == 2 else [swap, cycle]
-                swap_cache[m] = group_gens
-            for g in group_gens:
-                images.append(act(theta, g))
+        images = [act(theta, g) for g in sn_generators(m)]
         if m + 1 <= hi:
             for i in range(1, m + 1):
                 images.append(partial_compose(theta, i, unit2))
@@ -358,6 +372,26 @@ def _disjoint_multisets(masks: Sequence[int], n: int) -> Iterator[tuple[int, ...
     yield from rec(0, 0)
 
 
+def _disjoint_multiset_count(masks: Sequence[int], n: int) -> int:
+    """How many tuples `_disjoint_multisets(masks, n)` yields, without
+    visiting them: a DP over (length, used mask) states, one index at a
+    time.  An index with mask 0 may repeat; any other at most once."""
+    states = {(0, 0): 1}
+    for mask in masks:
+        grown = dict(states)
+        for (length, used), count in states.items():
+            if mask == 0:
+                steps = [(length + k, used) for k in range(1, n - length + 1)]
+            elif length < n and not mask & used:
+                steps = [(length + 1, used | mask)]
+            else:
+                continue
+            for state in steps:
+                grown[state] = grown.get(state, 0) + count
+        states = grown
+    return sum(count for (length, _), count in states.items() if length == n)
+
+
 def identities_slice(
     algebra: StructureAlgebra, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> IdealSlice:
@@ -367,22 +401,27 @@ def identities_slice(
     (argument tuple, output coordinate).  Tuples are enumerated without
     order (permuted tuples give right-translated rows) and the row space
     is closed under the action before the kernel is taken, which is exact.
-    The unordered tuple count is charged against the budget; if it does
-    not fit the call refuses rather than sampling.
+    The unordered tuple count is charged against the budget, exactly
+    (counted from the masks) when only disjoint supports are enumerated;
+    if it does not fit the call refuses rather than sampling.
     """
     if n < 1:
         raise ValueError("identity slices are defined for arity >= 1")
     dim = algebra.dim
-    needed = math.comb(dim + n - 1, n)
+    mono = algebra._mono
+    masks = algebra._zero_overlap_masks
+    disjoint = masks is not None and mono is not None
+    if disjoint:
+        needed = _disjoint_multiset_count(masks, n)
+    else:
+        needed = math.comb(dim + n - 1, n)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     fact_n = math.factorial(n)
     perm_seqs = [p.seq for p in all_permutations(n)]
     rows = RowBasis(fact_n)
     seen: set[tuple] = set()
-    mono = algebra._mono
-    masks = algebra._zero_overlap_masks
-    if masks is not None and mono is not None:
+    if disjoint:
         tuples: Iterable[tuple[int, ...]] = _disjoint_multisets(masks, n)
     else:
         tuples = combinations_with_replacement(range(dim), n)
@@ -630,7 +669,7 @@ def load_slice_file(path: str | Path) -> tuple[IdealSlice, str]:
     """Read a cached slice; the RREF invariants are re-established on load."""
     text = Path(path).read_text()
     lines = text.splitlines()
-    if not lines or lines[0] != CACHE_MAGIC:
+    if len(lines) < 2 or lines[0] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a slice cache file")
     header: dict[str, str] = {}
     for chunk in lines[1].split():
@@ -649,10 +688,14 @@ def load_slice_file(path: str | Path) -> tuple[IdealSlice, str]:
     for line in lines[2:]:
         if not line.strip():
             continue
-        values = [parse_rational(v) for v in line.split()]
-        if len(values) != width:
-            raise ValueError(f"{path}: row of length {len(values)}, expected {width}")
-        basis.insert(SparseVector.from_dense(values))
+        tokens = line.split()
+        if len(tokens) != width:
+            raise ValueError(f"{path}: row of length {len(tokens)}, expected {width}")
+        # Rows are mostly "0"; only the other tokens are parsed.
+        parsed = [(i, parse_rational(v)) for i, v in enumerate(tokens) if v != "0"]
+        row = SparseVector(width)
+        row.entries = {i: v for i, v in parsed if v}
+        basis.insert(row)
     if basis.rank != dim:
         raise ValueError(f"{path}: declared dim {dim} but rank is {basis.rank}")
     return IdealSlice(arity, basis), mode

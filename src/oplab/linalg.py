@@ -124,13 +124,6 @@ class SparseVector:
             out.entries = {i: v * factor for i, v in self.entries.items()}
         return out
 
-    def dot(self, other: "SparseVector") -> Fraction:
-        self._check(other)
-        small, large = self.entries, other.entries
-        if len(small) > len(large):
-            small, large = large, small
-        return sum((v * large[i] for i, v in small.items() if i in large), ZERO)
-
     def to_dense(self) -> list[Fraction]:
         return [self.entries.get(i, ZERO) for i in range(self.dimension)]
 
@@ -191,11 +184,6 @@ class RowBasis:
     def row_dicts(self) -> list[dict[int, Fraction]]:
         """Snapshot copies of the raw row maps, canonical order."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
-
-    def copy(self) -> "RowBasis":
-        dup = RowBasis(self.dimension)
-        dup._rows = {p: dict(r) for p, r in self._rows.items()}
-        return dup
 
     def _reduce(self, entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
         # Stored rows contain no pivot column other than their own, so a

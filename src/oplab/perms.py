@@ -25,6 +25,9 @@ __all__ = [
     "multiply",
     "parse_permutation",
     "perm_index",
+    "sn_generators",
+    "unit_contraction_table",
+    "unit_shift_table",
 ]
 
 
@@ -135,6 +138,49 @@ def _index_map(arity: int) -> dict[tuple[int, ...], int]:
 def perm_index(perm: Permutation) -> int:
     """Position of perm in the lexicographic enumeration of its arity."""
     return _index_map(perm.arity)[perm.seq]
+
+
+@lru_cache(maxsize=None)
+def sn_generators(arity: int) -> tuple[Permutation, ...]:
+    """A generating pair of S_arity: the adjacent swap (2,1,3,...,n) and the
+    full cycle (2,...,n,1).  Arity 2 needs only the swap; below it, none."""
+    if arity < 2:
+        return ()
+    swap = Permutation((2, 1) + tuple(range(3, arity + 1)))
+    if arity == 2:
+        return (swap,)
+    return (swap, Permutation(tuple(range(2, arity + 1)) + (1,)))
+
+
+def unit_contraction_table(sizes: Sequence[int]) -> list[int]:
+    """Index map S_k -> S_m, k = len(sizes), m = sum(sizes), of
+    sigma -> block_compose(sigma, [identity(s) for s in sizes]).
+
+    Slots of size 0 contract away, so the map need not be injective.
+    """
+    blocks = []
+    total = 0
+    for size in sizes:
+        blocks.append(tuple(range(total + 1, total + size + 1)))
+        total += size
+    target = _index_map(total)
+    return [
+        target[tuple(v for slot in seq for v in blocks[slot - 1])]
+        for seq in _index_map(len(sizes))
+    ]
+
+
+def unit_shift_table(left: int, arity: int, right: int) -> list[int]:
+    """Index map S_arity -> S_{left+arity+right} of sigma -> 1_3 o (1_left,
+    sigma, 1_right), whose sequence is (1..left, sigma + left, then the rest
+    in order).  The map is injective."""
+    head = tuple(range(1, left + 1))
+    tail = tuple(range(left + arity + 1, left + arity + right + 1))
+    target = _index_map(left + arity + right)
+    return [
+        target[head + tuple(v + left for v in seq) + tail]
+        for seq in _index_map(arity)
+    ]
 
 
 def format_permutation(perm: Permutation) -> str:

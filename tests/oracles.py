@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch against the
 mathematical definitions (words, substitution, dense Gaussian
-elimination) and shares no algorithmic code with the package.
+elimination) and shares no algorithmic code with the package.  The one
+exception is `spanning_core_vectors_reference`, the element-level
+spanning family that the index-table fast path in `oplab.ideals`
+replaced; it composes `OperadElement`s with `full_compose`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from oplab import NcPoly, Permutation, StructureAlgebra
+from oplab import (
+    UNITAL,
+    GeneratorSet,
+    NcPoly,
+    OperadElement,
+    Permutation,
+    StructureAlgebra,
+    SparseVector,
+    full_compose,
+    to_vector,
+)
 
 
 def word_substitution_compose(outer: Permutation, parts: list[Permutation]) -> Permutation:
@@ -171,3 +184,31 @@ def naive_identity_rows(algebra: StructureAlgebra, n: int) -> list[list[Fraction
                 by_coord.setdefault(coord, [Fraction(0)] * len(perms))[si] = c
         rows.extend(by_coord.values())
     return rows
+
+
+def spanning_core_vectors_reference(gens: GeneratorSet, n: int) -> list[SparseVector]:
+    """The spanning family before the symmetric-group closure, composed as
+    elements: every generator wrapped as 1_3 o (1_r, theta o (1_{s_1},...,
+    1_{s_l}), 1_t) with r + sum(s) + t = n, contractions (s_i = 0) only in
+    unital mode, and zero results dropped."""
+    s_min = 0 if gens.mode == UNITAL else 1
+    outer = OperadElement.unit(3)
+    vectors = []
+    for theta in gens.elements:
+        slots = theta.arity
+        for r in range(n + 1):
+            for t in range(n - r + 1):
+                remainder = n - r - t
+                for s in product(range(s_min, remainder + 1), repeat=slots):
+                    if sum(s) != remainder:
+                        continue
+                    if slots:
+                        middle = full_compose(theta, [OperadElement.unit(k) for k in s])
+                    else:
+                        middle = theta
+                    element = full_compose(
+                        outer, [OperadElement.unit(r), middle, OperadElement.unit(t)]
+                    )
+                    if not element.is_zero():
+                        vectors.append(to_vector(element))
+    return vectors

@@ -300,7 +300,7 @@ def test_budget_error_is_structured(capsys):
         "--n",
         "5",
         "--budget",
-        "1000",
+        "100",
     )
     assert code == 1
     assert payload["error"]["type"] == "BudgetExceeded"

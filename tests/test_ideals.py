@@ -2,8 +2,13 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oplab.ideals as ideals_module
 
 from oplab import (
     BudgetExceeded,
@@ -45,7 +50,12 @@ from oplab import (
     to_vector,
     verify_ideal_closure,
 )
-from oracles import dense_kernel, dense_rank, naive_identity_rows
+from oracles import (
+    dense_kernel,
+    dense_rank,
+    naive_identity_rows,
+    spanning_core_vectors_reference,
+)
 
 COMMUTATOR = parse_poly("x1*x2 - x2*x1")
 TRIPLE_COMMUTATOR = parse_poly("x1*x2*x3 - x2*x1*x3 - x3*x1*x2 + x3*x2*x1")
@@ -122,6 +132,48 @@ def test_spanning_equals_closure_nonunital():
         gens = GeneratorSet([random_element(rng, rng.randint(1, 3))], NONUNITAL)
         for n in range(1, 5):
             assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n, 2)
+
+
+# Elements some of whose contractions cancel to zero.
+CANCELLING = [
+    poly_to_operad(COMMUTATOR),
+    poly_to_operad(TRIPLE_COMMUTATOR),
+    standard_polynomial(3),
+]
+
+
+@st.composite
+def generator_sets(draw):
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    elements = []
+    for arity in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+        perms = draw(
+            st.lists(st.sampled_from(all_permutations(arity)), min_size=1, max_size=6, unique=True)
+        )
+        elements.append(OperadElement(arity, {p: draw(coefficients) for p in perms}))
+    if draw(st.booleans()):
+        elements.append(draw(coefficients) * draw(st.sampled_from(CANCELLING)))
+    if draw(st.booleans()):
+        elements.append(OperadElement(0, {identity(0): draw(coefficients)}))
+    return GeneratorSet(elements, draw(st.sampled_from([UNITAL, NONUNITAL])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gens=generator_sets(), n=st.integers(0, 5))
+def test_spanning_core_vectors_match_reference(gens, n):
+    # The index-table spanning family against the element-level one it
+    # replaced: the same core vectors (as a multiset) and the same slice.
+    def key(vec):
+        return vec.dimension, sorted(vec.entries.items())
+
+    fast = ideals_module._spanning_core_vectors(gens, n)
+    reference = spanning_core_vectors_reference(gens, n)
+    assert sorted(map(key, fast)) == sorted(map(key, reference))
+    with mock.patch.object(
+        ideals_module, "_spanning_core_vectors", spanning_core_vectors_reference
+    ):
+        expected = ideal_slice_spanning(gens, n)
+    assert ideal_slice_spanning(gens, n) == expected
 
 
 def test_closure_stabilization_flag_is_quiet_for_commutator():
@@ -229,9 +281,20 @@ def test_spanning_slice_sn_stability():
 def test_budget_guard_refuses():
     e6 = grassmann_algebra(6)
     with pytest.raises(BudgetExceeded):
-        identities_slice(e6, 5, budget=10**6)
+        identities_slice(e6, 5, budget=100)
     with pytest.raises(ValueError):
         identities_slice(e6, 0)
+
+
+def test_grassmann_budget_charges_exact_tuple_count():
+    # E_6 at n = 5 visits 876 tuples of disjoint support; the default
+    # budget covers that although comb(64 + 4, 5) does not fit it.
+    e6 = grassmann_algebra(6)
+    assert math.comb(64 + 4, 5) > ideals_module.DEFAULT_BUDGET
+    assert codimension(e6, 5) == 16
+    with pytest.raises(BudgetExceeded) as refused:
+        identities_slice(e6, 5, budget=875)
+    assert refused.value.needed == 876
 
 
 def test_codimension_examples():
@@ -515,3 +578,12 @@ def test_save_load_rejects_corruption(tmp_path):
     path.write_text("garbage\n")
     with pytest.raises(ValueError):
         load_slice_file(path)
+    path.write_text("OPIDEAL v1\n")
+    with pytest.raises(ValueError):
+        load_slice_file(path)
+    # rows of the wrong length and rows with a malformed token
+    assert good.splitlines()[2] == "1 -1"
+    for row in ("1", "1 -1 0", "1 -x", "x -1", "1 1/0"):
+        path.write_text(good.replace("1 -1", row))
+        with pytest.raises(ValueError):
+            load_slice_file(path)

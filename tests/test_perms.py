@@ -14,6 +14,7 @@ from oplab import (
     parse_permutation,
     perm_index,
 )
+from oplab.perms import sn_generators, unit_contraction_table, unit_shift_table
 from oracles import word_substitution_compose
 
 
@@ -174,3 +175,38 @@ def test_permutation_text_round_trip():
         parse_permutation("3,2,1")
     for p in all_permutations(4):
         assert parse_permutation(format_permutation(p)) == p
+
+
+def test_unit_index_tables_match_block_compose():
+    # The spanning family's index maps against element-free block
+    # composition with identity parts, on every small shape.
+    for k in range(0, 4):
+        for sizes in product(range(0, 3), repeat=k):
+            table = unit_contraction_table(sizes)
+            for i, sigma in enumerate(all_permutations(k)):
+                expected = (
+                    block_compose(sigma, [identity(s) for s in sizes]) if k else sigma
+                )
+                assert table[i] == perm_index(expected)
+    for left, arity, right in product(range(3), range(4), range(3)):
+        table = unit_shift_table(left, arity, right)
+        outer = identity(3)
+        for i, sigma in enumerate(all_permutations(arity)):
+            expected = block_compose(outer, [identity(left), sigma, identity(right)])
+            assert table[i] == perm_index(expected)
+        assert len(set(table)) == len(table)
+
+
+def test_sn_generators_generate_the_group():
+    for n in range(0, 6):
+        reached = {identity(n)}
+        frontier = [identity(n)]
+        while frontier:
+            p = frontier.pop()
+            for g in sn_generators(n):
+                q = multiply(p, g)
+                if q not in reached:
+                    reached.add(q)
+                    frontier.append(q)
+        assert len(reached) == len(all_permutations(n))
+        assert len(sn_generators(n)) == min(max(n - 1, 0), 2)
