@@ -13,10 +13,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .freealg import NcPoly, format_poly, multilinearize, poly_to_operad
-from .linalg import SparseVector, as_fraction, format_rational
+from .linalg import ONE, SparseVector, as_fraction, format_rational
 from .operad import OperadElement
 
 __all__ = [
@@ -44,7 +44,7 @@ class AlgebraError(ValueError):
 class StructureAlgebra:
     """Unital associative algebra with an explicit multiplication table."""
 
-    __slots__ = ("name", "labels", "dim", "table", "unit", "_mono", "_zero_overlap_masks")
+    __slots__ = ("name", "labels", "dim", "table", "unit", "_zero_overlap_masks")
 
     def __init__(
         self,
@@ -69,44 +69,29 @@ class StructureAlgebra:
         self.dim = dim
         self.table = [list(row) for row in table]
         self.unit = unit
-        self._mono = self._monomial_table()
         # Optional metadata set by constructors that can guarantee it:
         # masks such that overlapping factors annihilate any basis product.
         self._zero_overlap_masks: list[int] | None = None
         self._validate()
 
-    def _monomial_table(self) -> list[list[tuple[int, Fraction] | None]] | None:
-        mono: list[list[tuple[int, Fraction] | None]] = []
-        for row in self.table:
-            mono_row: list[tuple[int, Fraction] | None] = []
-            for vec in row:
-                if len(vec.entries) > 1:
-                    return None
-                if vec.entries:
-                    ((idx, coeff),) = vec.entries.items()
-                    mono_row.append((idx, coeff))
-                else:
-                    mono_row.append(None)
-            mono.append(mono_row)
-        return mono
-
     def _validate(self) -> None:
+        # Straight on the table entries: for b_i b_j = sum_l c_l b_l,
+        # (b_i b_j) b_k = sum_l c_l table[l][k]; for b_j b_k = sum_l c_l b_l,
+        # b_i (b_j b_k) = sum_l c_l table[i][l].
+        rows = [[vec.entries for vec in row] for row in self.table]
+        columns = [list(column) for column in zip(*rows)]
+        labels, unit = self.labels, self.unit.entries
         for i in range(self.dim):
-            b = SparseVector.basis_vector(self.dim, i)
-            if self.multiply_coords(self.unit, b) != b or self.multiply_coords(b, self.unit) != b:
-                raise AlgebraError(f"unit law fails on basis element {self.labels[i]}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                left = self.table[i][j]
-                for k in range(self.dim):
-                    lhs = self.multiply_coords(left, SparseVector.basis_vector(self.dim, k))
-                    rhs = self.multiply_coords(
-                        SparseVector.basis_vector(self.dim, i), self.table[j][k]
-                    )
-                    if lhs != rhs:
+            if _combine(unit, columns[i]) != {i: 1} or _combine(unit, rows[i]) != {i: 1}:
+                raise AlgebraError(f"unit law fails on basis element {labels[i]}")
+        for i, row_i in enumerate(rows):
+            for j, row_j in enumerate(rows):
+                left = row_i[j]
+                for k, right in enumerate(row_j):
+                    if (left or right) and _combine(left, columns[k]) != _combine(right, row_i):
                         raise AlgebraError(
                             "associativity fails on basis triple "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
+                            f"({labels[i]}, {labels[j]}, {labels[k]})"
                         )
 
     def multiply_coords(self, a: SparseVector, b: SparseVector) -> SparseVector:
@@ -418,46 +403,83 @@ def evaluate_poly(
     return AlgebraElement(algebra, result)
 
 
+def _combine(
+    coords: Mapping[int, Fraction], vecs: Sequence[Mapping[int, Fraction]]
+) -> dict[int, Fraction]:
+    """Coordinates of sum_l coords[l] * vecs[l], zeros dropped."""
+    accum: dict[int, Fraction] = {}
+    for l, c in coords.items():
+        for k, d in vecs[l].items():
+            value = accum.get(k, 0) + c * d
+            if value:
+                accum[k] = value
+            else:
+                del accum[k]
+    return accum
+
+
+def _word_evaluator(
+    algebra: StructureAlgebra, words: Sequence[Sequence[int]]
+) -> Callable[[Sequence[int]], dict[int, dict[int, Fraction]]]:
+    """The evaluation kernel.  For distinct words of one length n >= 1 over
+    1..n (permutation sequences), returns a function from a tuple of n
+    basis indices to {index of w in `words`: coordinates of b_{tup[w_1]}
+    ... b_{tup[w_n]}} over the words w whose product is nonzero (read-only
+    dicts; they may be table entries).  The words form a trie: a shared
+    prefix is multiplied once per tuple, and a subtree is dropped as soon
+    as its prefix product vanishes.
+    """
+    trie: dict = {}
+    for index, word in enumerate(words):
+        node = trie
+        for v in word[:-1]:
+            node = node.setdefault(v - 1, {})
+        node[word[-1] - 1] = index  # the leaf level holds the word's index
+    # columns[j][i]: coordinates of b_i b_j
+    columns = [[row[j].entries for row in algebra.table] for j in range(algebra.dim)]
+
+    def products(tup: Sequence[int]) -> dict[int, dict[int, Fraction]]:
+        out: dict[int, dict[int, Fraction]] = {}
+        stack: list[tuple[dict, dict[int, Fraction] | None]] = [(trie, None)]
+        while stack:
+            node, vec = stack.pop()
+            for v, child in node.items():
+                if vec is None:  # the empty prefix
+                    step = {tup[v]: ONE}
+                elif len(vec) == 1:
+                    ((i, c),) = vec.items()
+                    step = columns[tup[v]][i]
+                    if c != 1:
+                        step = {k: c * d for k, d in step.items()}
+                else:
+                    step = _combine(vec, columns[tup[v]])
+                if not step:
+                    continue
+                if child.__class__ is int:
+                    out[child] = step
+                else:
+                    stack.append((child, step))
+        return out
+
+    return products
+
+
 def is_identity(poly: NcPoly, algebra: StructureAlgebra) -> bool:
     """Exhaustive identity test for a multilinear polynomial.
 
     By multilinearity it suffices to evaluate on every tuple of basis
-    elements, so the test enumerates all dim^n tuples.
+    elements, so the test enumerates all dim^n tuples and stops at the
+    first nonzero value.
     """
     theta = poly_to_operad(poly)
     n = theta.arity
     if n == 0:
         return evaluate_nullary(theta, algebra).is_zero()
-    mono = algebra._mono
-    dim = algebra.dim
-    if mono is not None:
-        seqs = [perm.seq for perm in theta.terms]
-        coeffs = [theta.terms[perm] for perm in theta.terms]
-        for tup in product(range(dim), repeat=n):
-            accum: dict[int, Fraction] = {}
-            for seq, coeff in zip(seqs, coeffs):
-                entry: tuple[int, Fraction] | None = (tup[seq[0] - 1], Fraction(1))
-                for v in seq[1:]:
-                    step = mono[entry[0]][tup[v - 1]]
-                    if step is None:
-                        entry = None
-                        break
-                    entry = (step[0], entry[1] * step[1])
-                if entry is None:
-                    continue
-                idx, c = entry
-                value = accum.get(idx, Fraction(0)) + coeff * c
-                if value:
-                    accum[idx] = value
-                else:
-                    accum.pop(idx, None)
-            if accum:
-                return False
-        return True
-    basis = [algebra.basis_element(i) for i in range(dim)]
-    for tup in product(range(dim), repeat=n):
-        args = [basis[i] for i in tup]
-        if not evaluate(theta, args).is_zero():
+    coeffs = list(theta.terms.values())
+    products = _word_evaluator(algebra, [perm.seq for perm in theta.terms])
+    for tup in product(range(algebra.dim), repeat=n):
+        found = products(tup)
+        if _combine({w: coeffs[w] for w in found}, found):
             return False
     return True
 

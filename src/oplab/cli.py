@@ -232,12 +232,17 @@ _HANDLERS = {
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mode", choices=["unital", "nonunital"], default="unital")
-    shared.add_argument("--cache-dir", default=None)
-    shared.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    shared.add_argument("--headroom", type=int, default=2)
     fmt = shared.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="compact JSON (default)")
     fmt.add_argument("--pretty", action="store_true", help="indented JSON")
+
+    # Flags that only some subcommands read are attached to those alone.
+    gens, budget, headroom, cache_dir = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    gens.add_argument("--gens")
+    gens.add_argument("--polys")
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    headroom.add_argument("--headroom", type=int, default=2)
+    cache_dir.add_argument("--cache-dir", default=None)
 
     parser = argparse.ArgumentParser(
         prog="oplab",
@@ -250,17 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly-file")
     p.add_argument("--algebra", required=True)
 
-    p = sub.add_parser("min-degree", parents=[shared])
+    p = sub.add_parser("min-degree", parents=[shared, budget])
     p.add_argument("--algebra", required=True)
     p.add_argument("--max", type=int, required=True)
 
-    p = sub.add_parser("codim", parents=[shared])
+    p = sub.add_parser("codim", parents=[shared, budget])
     p.add_argument("--algebra", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("ideal-dim", parents=[shared])
-    p.add_argument("--gens")
-    p.add_argument("--polys")
+    p = sub.add_parser("ideal-dim", parents=[shared, gens, headroom, cache_dir])
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--algorithm",
@@ -269,10 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="closure uses --headroom and skips the cache",
     )
 
-    p = sub.add_parser("membership", parents=[shared])
+    p = sub.add_parser("membership", parents=[shared, gens, cache_dir])
     p.add_argument("--element", required=True)
-    p.add_argument("--gens")
-    p.add_argument("--polys")
 
     p = sub.add_parser("slices-equal", parents=[shared])
     p.add_argument("--gens1")
@@ -281,15 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polys2")
     p.add_argument("--max-arity", type=int, required=True)
 
-    p = sub.add_parser("roundtrip", parents=[shared])
-    p.add_argument("--gens")
-    p.add_argument("--polys")
+    p = sub.add_parser("roundtrip", parents=[shared, gens])
     p.add_argument("--max-arity", type=int, required=True)
 
-    p = sub.add_parser("closure-verify", parents=[shared])
+    p = sub.add_parser("closure-verify", parents=[shared, gens, budget])
     p.add_argument("--algebra")
-    p.add_argument("--gens")
-    p.add_argument("--polys")
     p.add_argument("--max-arity", type=int, required=True)
 
     p = sub.add_parser("phi", parents=[shared])
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner")
     p.add_argument("--parts")
 
-    p = sub.add_parser("cache", parents=[shared])
+    p = sub.add_parser("cache", parents=[shared, cache_dir])
     p.add_argument("action", choices=["list", "gc"])
 
     return parser

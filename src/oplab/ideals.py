@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebras import StructureAlgebra
+from .algebras import StructureAlgebra, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
 from .linalg import RowBasis, SparseVector, format_rational, parse_rational
 from .operad import (
@@ -258,7 +258,10 @@ def ideal_slice_spanning(
     if cache_dir is not None:
         path = slice_cache_path(cache_dir, gens, n)
         if path.exists():
-            cached, mode = load_slice_file(path)
+            try:
+                cached, mode = load_slice_file(path)
+            except ValueError:  # a corrupt entry is a miss, overwritten below
+                mode = None
             if mode == gens.mode and cached.arity == n:
                 if stats is not None:
                     stats["cache_hit"] = True
@@ -408,57 +411,32 @@ def identities_slice(
     if n < 1:
         raise ValueError("identity slices are defined for arity >= 1")
     dim = algebra.dim
-    mono = algebra._mono
     masks = algebra._zero_overlap_masks
-    disjoint = masks is not None and mono is not None
-    if disjoint:
+    if masks is not None:
         needed = _disjoint_multiset_count(masks, n)
+        tuples: Iterable[tuple[int, ...]] = _disjoint_multisets(masks, n)
     else:
         needed = math.comb(dim + n - 1, n)
+        tuples = combinations_with_replacement(range(dim), n)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     fact_n = math.factorial(n)
-    perm_seqs = [p.seq for p in all_permutations(n)]
+    # In lex order a word's index in the trie is the permutation index si.
+    products = _word_evaluator(algebra, [p.seq for p in all_permutations(n)])
     rows = RowBasis(fact_n)
     seen: set[tuple] = set()
-    if disjoint:
-        tuples: Iterable[tuple[int, ...]] = _disjoint_multisets(masks, n)
-    else:
-        tuples = combinations_with_replacement(range(dim), n)
-    one = Fraction(1)
-    basis_vecs = [SparseVector.basis_vector(dim, i) for i in range(dim)]
     for tup in tuples:
         by_coord: dict[int, dict[int, Fraction]] = {}
-        if mono is not None:
-            for si, seq in enumerate(perm_seqs):
-                idx = tup[seq[0] - 1]
-                coeff = one
-                dead = False
-                for v in seq[1:]:
-                    step = mono[idx][tup[v - 1]]
-                    if step is None:
-                        dead = True
-                        break
-                    idx = step[0]
-                    coeff *= step[1]
-                if not dead:
-                    by_coord.setdefault(idx, {})[si] = coeff
-        else:
-            for si, seq in enumerate(perm_seqs):
-                vec = basis_vecs[tup[seq[0] - 1]]
-                for v in seq[1:]:
-                    vec = algebra.multiply_coords(vec, basis_vecs[tup[v - 1]])
-                    if not vec.entries:
-                        break
-                for coord, c in vec.entries.items():
-                    by_coord.setdefault(coord, {})[si] = c
+        for si, vec in products(tup).items():
+            for coord, c in vec.items():
+                by_coord.setdefault(coord, {})[si] = c
         for row in by_coord.values():
             key = tuple(sorted(row.items()))
             if key in seen:
                 continue
             seen.add(key)
             vec = SparseVector(fact_n)
-            vec.entries = dict(row)
+            vec.entries = row
             rows.insert(vec)
     _saturate_under_action(rows, n)
     return IdealSlice(n, rows.kernel())

@@ -5,7 +5,8 @@ mathematical definitions (words, substitution, dense Gaussian
 elimination) and shares no algorithmic code with the package.  The one
 exception is `spanning_core_vectors_reference`, the element-level
 spanning family that the index-table fast path in `oplab.ideals`
-replaced; it composes `OperadElement`s with `full_compose`.
+replaced; it composes `OperadElement`s with `full_compose`.  The module
+also holds two test algebras whose tables are not monomial.
 """
 
 from __future__ import annotations
@@ -24,6 +25,29 @@ from oplab import (
     full_compose,
     to_vector,
 )
+
+# Dual numbers in the basis {1, f = 1 + t}: f * f = -1 + 2f has two
+# coordinates.
+DUAL_SHIFTED = {
+    "type": "custom",
+    "basis": ["1", "f"],
+    "unit": [1, 0],
+    "table": [[[1, 0], [0, 1]], [[0, 1], [-1, 2]]],
+}
+
+# M_2 in the basis {1, h = e11 - e22, e12, e21}: e12 * e21 = (1 + h)/2 has
+# two coordinates, and (1 + h)/2 * e21 cancels to zero inside one product.
+M2_UNIT_SPLIT = {
+    "type": "custom",
+    "basis": ["1", "h", "e12", "e21"],
+    "unit": [1, 0, 0, 0],
+    "table": [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+        [[0, 0, 1, 0], [0, 0, -1, 0], [0, 0, 0, 0], ["1/2", "1/2", 0, 0]],
+        [[0, 0, 0, 1], [0, 0, 0, 1], ["1/2", "-1/2", 0, 0], [0, 0, 0, 0]],
+    ],
+}
 
 
 def word_substitution_compose(outer: Permutation, parts: list[Permutation]) -> Permutation:

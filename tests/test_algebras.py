@@ -15,6 +15,7 @@ from oplab import (
     evaluate_nullary,
     evaluate_poly,
     grassmann_algebra,
+    identities_slice,
     is_identity,
     is_identity_general,
     matrix_algebra,
@@ -24,6 +25,7 @@ from oplab import (
     standard_polynomial,
     tensor_product,
 )
+from oracles import DUAL_SHIFTED, M2_UNIT_SPLIT
 
 
 def unit_entry(algebra, label):
@@ -282,3 +284,79 @@ def test_evaluate_poly_unit_word():
     a = m2.basis_element(1)
     value = evaluate_poly(f, {1: a}, m2)
     assert value == 2 * m2.unit_element() + a
+
+
+def _kernel_algebras():
+    # two monomial tables and two with multi-coordinate entries
+    return [
+        matrix_algebra(2),
+        grassmann_algebra(3),
+        algebra_from_spec(DUAL_SHIFTED),
+        algebra_from_spec(M2_UNIT_SPLIT),
+    ]
+
+
+def _random_theta(rng, arity, terms):
+    perms = all_permutations(arity)
+    perms = rng.sample(perms, min(terms, len(perms)))
+    coeffs = {p: Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])) for p in perms}
+    return OperadElement(arity, coeffs)
+
+
+def _brute_force_is_identity(theta, algebra):
+    from itertools import product as iproduct
+
+    basis = [algebra.basis_element(i) for i in range(algebra.dim)]
+    return all(
+        evaluate(theta, [basis[i] for i in tup]).is_zero()
+        for tup in iproduct(range(algebra.dim), repeat=theta.arity)
+    )
+
+
+def test_is_identity_matches_brute_force_evaluation():
+    # the word-trie kernel against plain per-term evaluation over all
+    # ordered basis tuples, on monomial and non-monomial tables; sparse
+    # elements (one or two terms) have words that die early, and random
+    # combinations of identity-slice elements give true verdicts
+    rng = random.Random(41)
+    verdicts = set()
+    for algebra in _kernel_algebras():
+        for n in range(1, 5):
+            thetas = [_random_theta(rng, n, k) for k in (1, 2, 24)]
+            identities = identities_slice(algebra, n).elements()
+            if identities:
+                combo = {}
+                for element in identities:
+                    c = Fraction(rng.randint(-2, 2))
+                    for p, v in element.terms.items():
+                        combo[p] = combo.get(p, 0) + c * v
+                combo = {p: v for p, v in combo.items() if v}
+                if combo:
+                    thetas.append(OperadElement(n, combo))
+                thetas.append(identities[0])
+            for theta in thetas:
+                expected = _brute_force_is_identity(theta, algebra)
+                assert is_identity(operad_to_poly(theta), algebra) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_word_evaluator_matches_evaluate():
+    # every word's product, coordinate by coordinate, on random tuples
+    from oplab.algebras import _word_evaluator
+
+    rng = random.Random(42)
+    for algebra in _kernel_algebras():
+        basis = [algebra.basis_element(i) for i in range(algebra.dim)]
+        for n in range(1, 5):
+            words = [p.seq for p in _random_theta(rng, n, 5).terms]
+            products = _word_evaluator(algebra, words)
+            for _ in range(20):
+                tup = [rng.randrange(algebra.dim) for _ in range(n)]
+                args = [basis[i] for i in tup]
+                expected = {}
+                for w, seq in enumerate(words):
+                    value = evaluate(OperadElement(n, {Permutation(seq): Fraction(1)}), args)
+                    if not value.is_zero():
+                        expected[w] = value.coords.entries
+                assert products(tup) == expected

@@ -311,6 +311,37 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+def test_flags_only_on_commands_that_read_them(capsys):
+    # --budget belongs to min-degree, codim and closure-verify only
+    assert main(["phi", "--element", "1*(1,2)", "--budget", "5"]) == 2
+    assert main(
+        ["check-identity", "--poly", "x1", "--algebra", '{"type":"matrix","k":1}', "--budget", "5"]
+    ) == 2
+    assert main(["codim", "--algebra", '{"type":"matrix","k":1}', "--n", "2", "--headroom", "1"]) == 2
+    assert main(["phi", "--element", "1*(1,2)", "--cache-dir", "somewhere"]) == 2
+    capsys.readouterr()
+    code, payload = run_json(capsys, "phi", "--element", "1*(1,2)")
+    assert code == 0
+    assert payload["params"] == {"element": "1*(1,2)", "mode": "unital"}
+
+
+def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
+    from oplab import GeneratorSet, parse_poly, poly_to_operad, slice_cache_path
+
+    gens = GeneratorSet([poly_to_operad(parse_poly("x1*x2-x2*x1"))])
+    path = slice_cache_path(tmp_path, gens, 3)
+    path.write_text("garbage\n")
+    args = ("ideal-dim", "--polys", "x1*x2-x2*x1", "--n", "3", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["result"]["dim"] == 5
+    assert "cache_hit=False" in err
+    assert path.read_text().startswith("OPIDEAL v1\n")
+    _, again, err = run_cli(capsys, *args)
+    assert again == out
+    assert "cache_hit=True" in err
+
+
 def test_pretty_flag(capsys):
     code, out, _ = run_cli(capsys, "phi", "--element", "1*(1,2)", "--pretty")
     assert code == 0

@@ -47,10 +47,13 @@ from oplab import (
     slice_polynomials,
     slices_equal,
     standard_polynomial,
+    tensor_product,
     to_vector,
     verify_ideal_closure,
 )
 from oracles import (
+    DUAL_SHIFTED,
+    M2_UNIT_SPLIT,
     dense_kernel,
     dense_rank,
     naive_identity_rows,
@@ -233,11 +236,19 @@ def test_identities_slice_matches_naive_enumeration():
             ],
         }
     )
+    # the last cases have table entries with several coordinates
+    dual_shifted = algebra_from_spec(DUAL_SHIFTED)
+    m2_split = algebra_from_spec(M2_UNIT_SPLIT)
     cases = [
         (matrix_algebra(2), 2),
         (matrix_algebra(2), 3),
         (grassmann_algebra(2), 3),
         (dual, 3),
+        (dual_shifted, 3),
+        (dual_shifted, 4),
+        (tensor_product(matrix_algebra(2), dual_shifted), 3),
+        (m2_split, 3),
+        (m2_split, 4),
         (cyclic4, 2),
         (algebra_from_spec({"type": "direct_sum", "parts": [{"type": "matrix", "k": 1}, {"type": "grassmann", "generators": 2}]}), 2),
     ]
@@ -552,6 +563,24 @@ def test_slice_cache_round_trip(tmp_path):
     loaded, mode = load_slice_file(path)
     assert mode == "unital"
     assert loaded == fresh
+
+
+@pytest.mark.parametrize("garbage", [b"garbage\n", b"OPIDEAL v1\n\xff\xfe\n"])
+def test_corrupt_cache_entry_is_recomputed(tmp_path, garbage):
+    # an entry that does not load is a miss: recomputed and overwritten
+    gens = commutator_gens()
+    path = slice_cache_path(tmp_path, gens, 3)
+    path.write_bytes(garbage)
+    stats: dict = {}
+    slice_ = ideal_slice_spanning(gens, 3, cache_dir=tmp_path, stats=stats)
+    assert stats["cache_hit"] is False
+    assert slice_.dim == 5
+    canonical = tmp_path / "canonical.opideal"
+    save_slice_file(canonical, ideal_slice_spanning(gens, 3), gens.mode)
+    assert path.read_bytes() == canonical.read_bytes()
+    stats = {}
+    assert ideal_slice_spanning(gens, 3, cache_dir=tmp_path, stats=stats) == slice_
+    assert stats["cache_hit"] is True
 
 
 def test_slice_cache_hash_distinguishes_generators():
