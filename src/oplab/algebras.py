@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .freealg import NcPoly, format_poly, multilinearize, poly_to_operad
-from .linalg import ONE, SparseVector, as_fraction, format_rational
+from .linalg import SparseVector, as_fraction, format_rational
 from .operad import OperadElement
 
 __all__ = [
@@ -420,12 +420,14 @@ def _combine(
 
 def _word_evaluator(
     algebra: StructureAlgebra, words: Sequence[Sequence[int]]
-) -> Callable[[Sequence[int]], dict[int, dict[int, Fraction]]]:
+) -> Callable[[Sequence[int]], dict[int, dict[int, Fraction | int]]]:
     """The evaluation kernel.  For distinct words of one length n >= 1 over
     1..n (permutation sequences), returns a function from a tuple of n
     basis indices to {index of w in `words`: coordinates of b_{tup[w_1]}
     ... b_{tup[w_n]}} over the words w whose product is nonzero (read-only
-    dicts; they may be table entries).  The words form a trie: a shared
+    dicts; they may be table entries).  Integral table entries are held
+    as ints, so on an integral table every coordinate is an int; other
+    entries stay ``Fraction``.  The words form a trie: a shared
     prefix is multiplied once per tuple, and a subtree is dropped as soon
     as its prefix product vanishes.
     """
@@ -435,17 +437,24 @@ def _word_evaluator(
         for v in word[:-1]:
             node = node.setdefault(v - 1, {})
         node[word[-1] - 1] = index  # the leaf level holds the word's index
-    # columns[j][i]: coordinates of b_i b_j
-    columns = [[row[j].entries for row in algebra.table] for j in range(algebra.dim)]
+    # columns[j][i]: coordinates of b_i b_j, integral entries as ints; equal
+    # entries share one dict
+    shared: dict[tuple, dict[int, Fraction | int]] = {}
 
-    def products(tup: Sequence[int]) -> dict[int, dict[int, Fraction]]:
-        out: dict[int, dict[int, Fraction]] = {}
-        stack: list[tuple[dict, dict[int, Fraction] | None]] = [(trie, None)]
+    def integral(entries: Mapping[int, Fraction]) -> dict[int, Fraction | int]:
+        key = tuple((k, d.numerator if d.denominator == 1 else d) for k, d in entries.items())
+        return shared.setdefault(key, dict(key))
+
+    columns = [[integral(row[j].entries) for row in algebra.table] for j in range(algebra.dim)]
+
+    def products(tup: Sequence[int]) -> dict[int, dict[int, Fraction | int]]:
+        out: dict[int, dict[int, Fraction | int]] = {}
+        stack: list[tuple[dict, dict[int, Fraction | int] | None]] = [(trie, None)]
         while stack:
             node, vec = stack.pop()
             for v, child in node.items():
                 if vec is None:  # the empty prefix
-                    step = {tup[v]: ONE}
+                    step = {tup[v]: 1}
                 elif len(vec) == 1:
                     ((i, c),) = vec.items()
                     step = columns[tup[v]][i]

@@ -203,14 +203,20 @@ def _cmd_cache(args, diag) -> dict:
     if args.action == "list":
         listed = []
         for path in entries:
-            header = path.read_text().splitlines()[:2]
-            listed.append({"file": path.name, "header": header[1] if len(header) > 1 else ""})
+            try:
+                with path.open(encoding="utf-8") as handle:
+                    handle.readline()
+                    header = handle.readline().rstrip("\n")
+            except (OSError, UnicodeDecodeError):
+                listed.append({"file": path.name, "header": "", "unreadable": True})
+                continue
+            listed.append({"file": path.name, "header": header})
         return {"entries": listed}
-    removed = 0
-    for path in entries:
+    # Temp files of writers that died before their atomic rename.
+    orphans = sorted(root.glob(f"*{CACHE_SUFFIX}*.tmp")) if root.exists() else []
+    for path in entries + orphans:
         path.unlink()
-        removed += 1
-    return {"removed": removed}
+    return {"removed": len(entries) + len(orphans)}
 
 
 _HANDLERS = {

@@ -39,6 +39,10 @@ __all__ = [
 
 Word = tuple[int, ...]
 
+# Bounds on the powers that the parser expands (see parse_poly).
+MAX_EXPONENT = 64
+MAX_POWER_SIZE = 10**6
+
 
 class PolyParseError(ValueError):
     """Syntax error with the 0-based offset where parsing failed."""
@@ -230,11 +234,15 @@ class _Parser:
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # beyond the interpreter's digit limit
+            self.pos = start
+            raise self.error("number too long") from None
 
     def parse(self) -> NcPoly:
         result = self.poly()
@@ -273,7 +281,12 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            return base.pow(self.natural())
+            start = self.pos
+            exponent = self.natural()
+            if exponent > MAX_EXPONENT or _power_size(base, exponent) > MAX_POWER_SIZE:
+                self.pos = start
+                raise self.error("power too large to expand")
+            return base.pow(exponent)
         return base
 
     def atom(self) -> NcPoly:
@@ -291,7 +304,7 @@ class _Parser:
                 self.pos = index_pos
                 raise self.error("variable index must be >= 1")
             return NcPoly.variable(index)
-        if char.isdigit():
+        if "0" <= char <= "9":
             numerator = self.natural()
             if self.peek() == "/":
                 self.pos += 1
@@ -305,9 +318,28 @@ class _Parser:
         raise self.error("expected a rational, variable, or parenthesized group")
 
 
+def _power_size(base: NcPoly, exponent: int) -> int:
+    """An upper bound on the letters and coefficient bits that base^exponent
+    takes to expand: terms^e words of degree d*e, coefficients of at most
+    e*b bits each, where b bounds the bit size of base's coefficients."""
+    bits = max(
+        (c.numerator.bit_length() + c.denominator.bit_length() for c in base.terms.values()),
+        default=0,
+    )
+    return len(base.terms) ** exponent * exponent * (base.degree() + bits + 1)
+
+
 def parse_poly(text: str) -> NcPoly:
-    """Parse polynomial text; raises PolyParseError with the failure offset."""
-    return _Parser(text).parse()
+    """Parse polynomial text; raises PolyParseError with the failure offset.
+
+    A power is expanded only if it has exponent at most MAX_EXPONENT and
+    an expansion of at most MAX_POWER_SIZE letters and coefficient bits.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("parentheses nested too deeply") from None
 
 
 def operad_to_poly(theta: OperadElement) -> NcPoly:

@@ -210,16 +210,19 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]
     contractions: dict[tuple[int, ...], list[int]] = {}
     shifts: dict[tuple[int, int], list[int]] = {}
     for theta in gens.elements:
-        terms = [(perm_index(p), c) for p, c in theta.items()]
+        # The middles are summed on theta's coefficients times `scale`, the
+        # lcm of their denominators, and divided back once per survivor.
+        scale = math.lcm(*(c.denominator for _, c in theta.items()))
+        terms = [(perm_index(p), c.numerator * (scale // c.denominator)) for p, c in theta.items()]
         # middles[m]: the nonzero contracted middles of arity m, in s order
-        middles: list[list[dict[int, Fraction]]] = []
+        middles: list[list[dict[int, Fraction | int]]] = []
         for m in range(n + 1):
             found = []
             for s in _compositions(m, theta.arity, s_min):
                 table = contractions.get(s)
                 if table is None:
                     table = contractions[s] = unit_contraction_table(s)
-                middle: dict[int, Fraction] = {}
+                middle: dict[int, Fraction | int] = {}
                 for i, c in terms:
                     j = table[i]
                     value = middle.get(j, 0) + c
@@ -228,6 +231,8 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]
                     else:
                         middle.pop(j, None)
                 if middle:
+                    if scale != 1:
+                        middle = {j: Fraction(c, scale) for j, c in middle.items()}
                     found.append(middle)
             middles.append(found)
         for r in range(n + 1):
@@ -259,10 +264,10 @@ def ideal_slice_spanning(
         path = slice_cache_path(cache_dir, gens, n)
         if path.exists():
             try:
-                cached, mode = load_slice_file(path)
+                cached, mode = load_slice_file(path, arity=n)
             except ValueError:  # a corrupt entry is a miss, overwritten below
                 mode = None
-            if mode == gens.mode and cached.arity == n:
+            if mode == gens.mode:
                 if stats is not None:
                     stats["cache_hit"] = True
                 return cached
@@ -426,7 +431,7 @@ def identities_slice(
     rows = RowBasis(fact_n)
     seen: set[tuple] = set()
     for tup in tuples:
-        by_coord: dict[int, dict[int, Fraction]] = {}
+        by_coord: dict[int, dict[int, Fraction | int]] = {}
         for si, vec in products(tup).items():
             for coord, c in vec.items():
                 by_coord.setdefault(coord, {})[si] = c
@@ -643,8 +648,15 @@ def save_slice_file(path: str | Path, slice_: IdealSlice, mode: str) -> None:
         raise
 
 
-def load_slice_file(path: str | Path) -> tuple[IdealSlice, str]:
-    """Read a cached slice; the RREF invariants are re-established on load."""
+def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[IdealSlice, str]:
+    """Read a cached slice; the RREF invariants are re-established on load.
+
+    Every defect of the file raises ValueError.  The header's arity is
+    checked before anything of size arity! is built: against `arity` when
+    the caller gives one, and against the length of the first row, which
+    must be arity!.  Without `arity`, a file with no rows is trusted for
+    its arity (the zero slice).
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
     if len(lines) < 2 or lines[0] != CACHE_MAGIC:
@@ -654,14 +666,21 @@ def load_slice_file(path: str | Path) -> tuple[IdealSlice, str]:
         key, _, value = chunk.partition("=")
         header[key] = value
     try:
-        arity = int(header["arity"])
+        declared = int(header["arity"])
         dim = int(header["dim"])
         mode = header["mode"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header") from exc
     if header.get("order") != "lex":
         raise ValueError(f"{path}: unsupported coordinate order")
-    width = math.factorial(arity)
+    if declared < 0:
+        raise ValueError(f"{path}: negative arity")
+    if arity is not None and declared != arity:
+        raise ValueError(f"{path}: arity {declared}, expected {arity}")
+    first = next((line.split() for line in lines[2:] if line.strip()), None)
+    if first is not None and not _factorial_is(declared, len(first)):
+        raise ValueError(f"{path}: row of length {len(first)} for arity {declared}")
+    width = math.factorial(declared)
     basis = RowBasis(width)
     for line in lines[2:]:
         if not line.strip():
@@ -676,4 +695,14 @@ def load_slice_file(path: str | Path) -> tuple[IdealSlice, str]:
         basis.insert(row)
     if basis.rank != dim:
         raise ValueError(f"{path}: declared dim {dim} but rank is {basis.rank}")
-    return IdealSlice(arity, basis), mode
+    return IdealSlice(declared, basis), mode
+
+
+def _factorial_is(n: int, value: int) -> bool:
+    """n! == value, without computing n! when it exceeds value."""
+    product = 1
+    for k in range(2, n + 1):
+        product *= k
+        if product > value:
+            return False
+    return product == value

@@ -1,14 +1,20 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are sparse maps from 0-based coordinate indices to nonzero
-``Fraction`` values.  Bases are kept in reduced row-echelon form (unit
-pivots, pivot columns eliminated everywhere else), so two bases are
-structurally equal exactly when they span the same subspace.
+``Fraction`` values.  A basis is kept in a canonical echelon form on
+primitive integer rows (positive pivots, pivot columns eliminated
+everywhere else), in bijection with reduced row-echelon form, so two
+bases are structurally equal exactly when they span the same subspace.
+Elimination runs fraction-free on Python ints; ``Fraction`` appears only
+where vectors enter (denominators cleared once per vector) and where RREF
+rows leave (:meth:`RowBasis.rows`).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -40,10 +46,18 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the serialized form "p" or "p/q" (q > 0)."""
+    """Parse the serialized form "p" or "p/q" (q > 0).  Other forms that
+    ``Fraction`` reads, such as "1e9999999" (seconds to expand), are
+    rejected."""
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"invalid rational literal {text!r}")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
     return value
@@ -149,12 +163,18 @@ class SparseVector:
 
 
 class RowBasis:
-    """Reduced row-echelon basis of a subspace of Q^dimension.
+    """Canonical echelon basis of a subspace of Q^dimension, on integers.
 
-    Rows are stored keyed by pivot column; each row has a unit pivot and
-    its pivot column is zero in every other row, so the stored form is a
-    canonical representative of the subspace.  Mutation happens only via
-    :meth:`insert`.
+    Rows are stored keyed by pivot column as maps to nonzero ints.  Each
+    row is primitive (its entries have gcd 1), its pivot entry is
+    positive, and its pivot column is zero in every other row.  Dividing
+    a row by its pivot entry gives the unit-pivot RREF row and scaling an
+    RREF row by the least positive factor that makes it integral gives
+    the stored row back, so the stored form is in bijection with reduced
+    row-echelon form: it is a canonical representative of the subspace,
+    and :meth:`rows` returns exactly the RREF rows.  Input vectors may
+    hold ``Fraction`` or int entries; their denominators are cleared once
+    per vector.  Mutation happens only via :meth:`insert`.
     """
 
     __slots__ = ("dimension", "_rows")
@@ -163,7 +183,7 @@ class RowBasis:
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
         self.dimension = dimension
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -173,82 +193,113 @@ class RowBasis:
         return tuple(sorted(self._rows))
 
     def rows(self) -> list[SparseVector]:
-        """Basis rows in canonical order (increasing pivot column)."""
+        """Basis rows in RREF (unit pivots), canonical order (increasing
+        pivot column)."""
         out = []
         for pivot in sorted(self._rows):
+            row = self._rows[pivot]
+            p = row[pivot]
             vec = SparseVector(self.dimension)
-            vec.entries = dict(self._rows[pivot])
+            vec.entries = {c: Fraction(x, p) for c, x in row.items()}
             out.append(vec)
         return out
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        """Snapshot copies of the raw row maps, canonical order."""
+    def row_dicts(self) -> list[dict[int, int]]:
+        """Snapshot copies of the primitive integer rows, canonical order;
+        each spans the same line as the RREF row with the same pivot."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
-    def _reduce(self, entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def _check(self, vec: SparseVector) -> None:
+        if vec.dimension != self.dimension:
+            raise DimensionMismatch(
+                f"dimension mismatch: {vec.dimension} vs {self.dimension}"
+            )
+
+    def _reduce(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
+        """A positive multiple of entries minus its projection on the rows:
+        an integer vector that is zero in every pivot column."""
+        v = _integral(entries)
+        rows = self._rows
         # Stored rows contain no pivot column other than their own, so a
         # single pass over the pivot columns present in the input suffices.
-        v = dict(entries)
-        rows = self._rows
         for col in sorted(c for c in v if c in rows):
-            coeff = v.get(col)
-            if not coeff:
+            a = v.get(col)
+            if not a:
                 continue
-            for c, x in rows[col].items():
-                value = v.get(c, ZERO) - coeff * x
+            row = rows[col]
+            b = row[col]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:  # v <- b*v - a*row, with b > 0
+                for c in v:
+                    v[c] *= b
+            for c, x in row.items():
+                value = v.get(c, 0) - a * x
                 if value:
                     v[c] = value
                 else:
-                    v.pop(c, None)
+                    del v[c]
         return v
 
     def contains(self, vec: SparseVector) -> bool:
         """True iff vec lies in the span of the basis rows."""
-        if vec.dimension != self.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {vec.dimension} vs {self.dimension}"
-            )
+        self._check(vec)
         return not self._reduce(vec.entries)
 
     def insert(self, vec: SparseVector) -> bool:
         """Add vec to the span; returns True iff the rank grew."""
-        if vec.dimension != self.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {vec.dimension} vs {self.dimension}"
-            )
+        self._check(vec)
         v = self._reduce(vec.entries)
         if not v:
             return False
         pivot = min(v)
-        inv = ONE / v[pivot]
-        if inv != 1:
-            v = {c: x * inv for c, x in v.items()}
-        # The new pivot column was free until now: clear it from all rows.
+        content = gcd(*v.values())
+        if v[pivot] < 0:
+            content = -content
+        if content != 1:
+            v = {c: x // content for c, x in v.items()}
+        p = v[pivot]
+        # The new pivot column was free until now: clear it from all rows,
+        # row <- (p/g)*row - (a/g)*v, which keeps the row's pivot positive.
         for row in self._rows.values():
-            coeff = row.get(pivot)
-            if not coeff:
+            a = row.get(pivot)
+            if not a:
                 continue
+            g = gcd(a, p)
+            a //= g
+            b = p // g
+            if b != 1:
+                for c in row:
+                    row[c] *= b
             for c, x in v.items():
-                value = row.get(c, ZERO) - coeff * x
+                value = row.get(c, 0) - a * x
                 if value:
                     row[c] = value
                 else:
-                    row.pop(c, None)
+                    del row[c]
+            content = gcd(*row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
         self._rows[pivot] = v
         return True
 
     def kernel(self) -> "RowBasis":
-        """RREF basis of {v : r·v = 0 for every basis row r}."""
+        """Basis of the null space {v : r·v = 0 for every basis row r}."""
         pivots = self.pivots()
         rows = [self._rows[p] for p in pivots]
         free = [c for c in range(self.dimension) if c not in self._rows]
         kernel = RowBasis(self.dimension)
         for f in free:
-            entries: dict[int, Fraction] = {f: ONE}
-            for pivot, row in zip(pivots, rows):
-                coeff = row.get(f)
-                if coeff:
-                    entries[pivot] = -coeff
+            # e_f - sum over rows of (row[f] / row[pivot]) e_pivot, scaled
+            # by the lcm of those pivot entries.
+            terms = [(pivot, row[f], row[pivot]) for pivot, row in zip(pivots, rows) if f in row]
+            scale = lcm(*(p for _, _, p in terms))
+            entries = {f: scale}
+            for pivot, x, p in terms:
+                entries[pivot] = -x * (scale // p)
             vec = SparseVector(self.dimension)
             vec.entries = entries
             kernel.insert(vec)
@@ -263,6 +314,14 @@ class RowBasis:
 
     def __repr__(self) -> str:
         return f"RowBasis(dimension={self.dimension}, rank={self.rank})"
+
+
+def _integral(entries: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """A fresh integer map: entries times the lcm of their denominators."""
+    if all(x.__class__ is int for x in entries.values()):
+        return dict(entries)
+    den = lcm(*(x.denominator for x in entries.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in entries.items()}
 
 
 def kernel_basis(rows: Iterable[SparseVector], dimension: int) -> RowBasis:

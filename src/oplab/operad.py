@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import SparseVector, as_fraction, format_rational
+from .linalg import SparseVector, as_fraction, format_rational, parse_rational
 from .perms import (
     ArityMismatch,
     Permutation,
@@ -256,7 +256,7 @@ def parse_element(text: str, arity: int | None = None) -> OperadElement:
             raise ValueError(f"cannot parse element text at position {pos}: {text!r}")
         sign = -1 if match.group("sign") == "-" else 1
         coeff_text = match.group("coeff")
-        coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+        coeff = parse_rational(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
         seq_text = match.group("seq").strip()
         if seq_text:
             seq = tuple(int(v) for v in seq_text.split(","))

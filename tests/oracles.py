@@ -2,11 +2,14 @@
 
 Everything here is deliberately written from scratch against the
 mathematical definitions (words, substitution, dense Gaussian
-elimination) and shares no algorithmic code with the package.  The one
-exception is `spanning_core_vectors_reference`, the element-level
-spanning family that the index-table fast path in `oplab.ideals`
-replaced; it composes `OperadElement`s with `full_compose`.  The module
-also holds two test algebras whose tables are not monomial.
+elimination) and shares no algorithmic code with the package.  Two
+exceptions are the paths that fast paths of the package replaced:
+`spanning_core_vectors_reference`, the element-level spanning family that
+the index-table fast path in `oplab.ideals` replaced (it composes
+`OperadElement`s with `full_compose`), and `FractionRowBasis`, the
+unit-pivot RREF on `Fraction` entries that the primitive-integer
+`oplab.RowBasis` replaced.  The module also holds two test algebras whose
+tables are not monomial.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from itertools import product
 
 from oplab import (
     UNITAL,
+    DimensionMismatch,
     GeneratorSet,
     NcPoly,
     OperadElement,
@@ -236,3 +240,100 @@ def spanning_core_vectors_reference(gens: GeneratorSet, n: int) -> list[SparseVe
                     if not element.is_zero():
                         vectors.append(to_vector(element))
     return vectors
+
+
+class FractionRowBasis:
+    """Reduced row-echelon basis on ``Fraction`` entries: rows keyed by
+    pivot column, unit pivots, each pivot column zero in every other row.
+    Same interface as `oplab.RowBasis`, whose rows are primitive integer
+    multiples of these."""
+
+    def __init__(self, dimension: int) -> None:
+        if dimension < 0:
+            raise ValueError("dimension must be nonnegative")
+        self.dimension = dimension
+        self._rows: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._rows))
+
+    def rows(self) -> list[SparseVector]:
+        out = []
+        for pivot in sorted(self._rows):
+            vec = SparseVector(self.dimension)
+            vec.entries = dict(self._rows[pivot])
+            out.append(vec)
+        return out
+
+    def _reduce(self, entries: dict[int, Fraction]) -> dict[int, Fraction]:
+        v = {c: Fraction(x) for c, x in entries.items()}
+        rows = self._rows
+        for col in sorted(c for c in v if c in rows):
+            coeff = v.get(col)
+            if not coeff:
+                continue
+            for c, x in rows[col].items():
+                value = v.get(c, Fraction(0)) - coeff * x
+                if value:
+                    v[c] = value
+                else:
+                    v.pop(c, None)
+        return v
+
+    def _check(self, vec: SparseVector) -> None:
+        if vec.dimension != self.dimension:
+            raise DimensionMismatch(
+                f"dimension mismatch: {vec.dimension} vs {self.dimension}"
+            )
+
+    def contains(self, vec: SparseVector) -> bool:
+        self._check(vec)
+        return not self._reduce(vec.entries)
+
+    def insert(self, vec: SparseVector) -> bool:
+        self._check(vec)
+        v = self._reduce(vec.entries)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = 1 / v[pivot]
+        if inv != 1:
+            v = {c: x * inv for c, x in v.items()}
+        for row in self._rows.values():
+            coeff = row.get(pivot)
+            if not coeff:
+                continue
+            for c, x in v.items():
+                value = row.get(c, Fraction(0)) - coeff * x
+                if value:
+                    row[c] = value
+                else:
+                    row.pop(c, None)
+        self._rows[pivot] = v
+        return True
+
+    def kernel(self) -> "FractionRowBasis":
+        pivots = self.pivots()
+        rows = [self._rows[p] for p in pivots]
+        kernel = FractionRowBasis(self.dimension)
+        for f in range(self.dimension):
+            if f in self._rows:
+                continue
+            entries: dict[int, Fraction] = {f: Fraction(1)}
+            for pivot, row in zip(pivots, rows):
+                coeff = row.get(f)
+                if coeff:
+                    entries[pivot] = -coeff
+            vec = SparseVector(self.dimension)
+            vec.entries = entries
+            kernel.insert(vec)
+        return kernel
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FractionRowBasis):
+            return NotImplemented
+        return self.dimension == other.dimension and self._rows == other._rows

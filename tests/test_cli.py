@@ -369,6 +369,29 @@ def test_cache_list_and_gc(capsys, tmp_path):
     assert not list(tmp_path.glob("*.opideal"))
 
 
+def test_cache_list_marks_unreadable_entry(capsys, tmp_path):
+    run_cli(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", "--n", "2", "--cache-dir", str(tmp_path))
+    (tmp_path / "broken.opideal").write_bytes(b"\xff\xfe garbage\n")
+    code, payload = run_json(capsys, "cache", "list", "--cache-dir", str(tmp_path))
+    assert code == 0
+    broken, good = sorted(payload["result"]["entries"], key=lambda e: e["file"] != "broken.opideal")
+    assert broken == {"file": "broken.opideal", "header": "", "unreadable": True}
+    assert "arity=2" in good["header"] and "unreadable" not in good
+
+
+def test_cache_gc_removes_orphaned_temp_files(capsys, tmp_path):
+    run_cli(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", "--n", "2", "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.glob("*.opideal")
+    orphan = tmp_path / f"{entry.name}k3j9x_q.tmp"  # as left by a killed writer
+    orphan.write_text("OPIDEAL v1\n")
+    unrelated = tmp_path / "notes.tmp"
+    unrelated.write_text("kept")
+    code, payload = run_json(capsys, "cache", "gc", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert payload["result"] == {"removed": 2}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.tmp"]
+
+
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OPLAB_CACHE_DIR", str(tmp_path))
     code, _, _ = run_cli(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", "--n", "2")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oplab import (
@@ -265,3 +265,28 @@ def test_multilinearize_grassmann_triple_commutator():
     assert is_identity_general(f, E3)
     for part in multilinearize(f):
         assert is_identity(part, E3)
+
+
+poly_text = st.text(
+    alphabet=st.one_of(st.sampled_from("x0123456789+-*/^() "), st.characters()),
+    max_size=40,
+)
+
+
+@given(poly_text)
+@example("x1^99999999")
+@example("(x1+x2)^99")
+@example("((((x1^64)^64)^64)^64)")
+@example("(((2^64)^64)^64)^64")
+@example("x\u00b2")
+@example("x" + "1" * 5000)
+@example("(" * 5000 + "x1" + ")" * 5000)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parse_poly_fuzz_raises_only_parse_errors(text):
+    # powers too large to expand, non-ASCII digits, over-long numbers and
+    # deep nesting are syntax errors, like any other malformed text
+    try:
+        poly = parse_poly(text)
+    except PolyParseError:
+        return
+    assert parse_poly(format_poly(poly)) == poly

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -441,6 +442,17 @@ def test_canonical_slice_file_bytes(tmp_path):
     )
 
 
+def test_canonical_slice_file_bytes_arity_six(tmp_path):
+    # the arity-6 slice of [[x1,x2],x3] (688 rows of 720 entries, with
+    # non-unit pivots in its primitive integer form) pins the cache bytes
+    path = tmp_path / "slice.opideal"
+    gens = GeneratorSet([poly_to_operad(TRIPLE_COMMUTATOR)])
+    save_slice_file(path, ideal_slice_spanning(gens, 6), "unital")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "07c2ae57d9256fafbce95141125114825db2f23faf3feb310fd955a976ffd095"
+    )
+
+
 def test_slices_equal_examples():
     gens = commutator_gens()
     # adding a consequence changes nothing
@@ -612,7 +624,79 @@ def test_save_load_rejects_corruption(tmp_path):
         load_slice_file(path)
     # rows of the wrong length and rows with a malformed token
     assert good.splitlines()[2] == "1 -1"
-    for row in ("1", "1 -1 0", "1 -x", "x -1", "1 1/0"):
+    for row in ("1", "1 -1 0", "1 -x", "x -1", "1 1/0", "1 1e9999999"):
         path.write_text(good.replace("1 -1", row))
         with pytest.raises(ValueError):
             load_slice_file(path)
+
+
+def test_loader_checks_arity_before_allocating(tmp_path):
+    # a header arity that the caller does not expect, or that the first
+    # row's length contradicts, is refused before arity! is computed
+    path = tmp_path / "slice.opideal"
+    path.write_text("OPIDEAL v1\narity=300000 dim=0 order=lex mode=unital\n\n")
+    with mock.patch.object(ideals_module.math, "factorial", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="expected 3"):
+            load_slice_file(path, arity=3)
+        path.write_text("OPIDEAL v1\narity=300000 dim=1 order=lex mode=unital\n1 -1\n")
+        with pytest.raises(ValueError):
+            load_slice_file(path)
+    path.write_text("OPIDEAL v1\narity=-1 dim=0 order=lex mode=unital\n")
+    with pytest.raises(ValueError):
+        load_slice_file(path)
+    # the spanning path passes its arity: a foreign-arity entry is a miss
+    gens = commutator_gens()
+    entry = slice_cache_path(tmp_path, gens, 3)
+    entry.write_text("OPIDEAL v1\narity=300000 dim=0 order=lex mode=unital\n\n")
+    stats: dict = {}
+    assert ideal_slice_spanning(gens, 3, cache_dir=tmp_path, stats=stats).dim == 5
+    assert stats["cache_hit"] is False
+    assert load_slice_file(entry, arity=3)[0].dim == 5
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=3), st.binary(max_size=4)),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_loader_fuzz_mutated_files(tmp_path_factory, edits):
+    # replace, insert or delete a few bytes of a valid file: the loader
+    # either raises ValueError or returns a slice (of the expected arity,
+    # when one is given)
+    path = tmp_path_factory.mktemp("fuzz") / "slice.opideal"
+    save_slice_file(path, ideal_slice_spanning(commutator_gens(), 3), "unital")
+    data = bytearray(path.read_bytes())
+    for position, kind, chunk in edits:
+        at = position % (len(data) + 1)
+        if kind == 0:
+            data[at : at + len(chunk)] = chunk
+        elif kind == 1:
+            data[at:at] = chunk
+        elif kind == 2:
+            del data[at : at + 1 + len(chunk)]
+        else:
+            data[at:at] = b"9" * (1 + len(chunk))  # numbers that grow
+    path.write_bytes(bytes(data))
+    for expected in (3, None):
+        try:
+            slice_, mode = load_slice_file(path, arity=expected)
+        except ValueError:
+            continue
+        assert expected is None or slice_.arity == expected
+        assert isinstance(mode, str) and slice_.dim == slice_.basis.rank
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_loader_fuzz_random_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "random.opideal"
+    for payload in (data, b"OPIDEAL v1\n" + data):
+        path.write_bytes(payload)
+        try:
+            slice_, _ = load_slice_file(path)
+        except ValueError:
+            continue
+        assert slice_.dim == slice_.basis.rank

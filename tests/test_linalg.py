@@ -12,7 +12,7 @@ from oplab import (
     kernel_basis,
     parse_rational,
 )
-from oracles import dense_in_span, dense_kernel, dense_rank
+from oracles import FractionRowBasis, dense_in_span, dense_kernel, dense_rank
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -30,6 +30,9 @@ def test_rational_serialization():
     assert parse_rational("5/2") == Fraction(5, 2)
     with pytest.raises(ValueError):
         parse_rational("5/")
+    for text in ("1e9999999", "0.5", "1/-2", "nan"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 @given(rationals, rationals)
@@ -185,3 +188,68 @@ def test_rref_canonical_under_insertion_order():
     for v in reversed(vectors):
         two.insert(v)
     assert one == two
+
+
+# Entries for the integer-vs-Fraction cross-check: small and huge
+# numerators and denominators, negative values, and plain ints.
+mixed_entries = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+    st.integers(-(10**12), 10**12),
+)
+
+
+@st.composite
+def vector_streams(draw):
+    """A dimension 0..8, a stream of sparse vectors (zero vectors and
+    linear combinations of earlier ones among them), a reordering of the
+    stream and some probes."""
+    dim = draw(st.integers(min_value=0, max_value=8))
+    sparse = st.dictionaries(
+        st.integers(min_value=0, max_value=max(dim - 1, 0)), mixed_entries, max_size=dim
+    )
+    stream = draw(st.lists(sparse, max_size=8))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if not stream:
+            break
+        picks = draw(st.lists(st.integers(0, len(stream) - 1), min_size=1, max_size=3))
+        weights = draw(st.lists(mixed_entries, min_size=len(picks), max_size=len(picks)))
+        combo: dict[int, Fraction] = {}
+        for i, w in zip(picks, weights):
+            for c, x in stream[i].items():
+                combo[c] = combo.get(c, 0) + w * x
+        stream.insert(draw(st.integers(0, len(stream))), combo)
+    probes = draw(st.lists(sparse, max_size=4))
+    if stream:
+        probes.append({c: 3 * x for c, x in stream[-1].items()})
+    order = draw(st.permutations(range(len(stream))))
+
+    def make(d):
+        out = SparseVector(dim)
+        out.entries = {c: x for c, x in d.items() if x}  # ints kept as ints
+        return out
+
+    return dim, [make(d) for d in stream], order, [make(d) for d in probes]
+
+
+@given(vector_streams())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_row_basis_matches_fraction_oracle(case):
+    dim, stream, order, probes = case
+    mine, reference = RowBasis(dim), FractionRowBasis(dim)
+    for v in stream:
+        assert mine.insert(v) == reference.insert(v)
+    assert mine.rank == reference.rank
+    assert mine.pivots() == reference.pivots()
+    rows = mine.rows()
+    assert rows == reference.rows()
+    assert all(x.__class__ is Fraction for row in rows for x in row.entries.values())
+    for probe in probes + stream:
+        assert mine.contains(probe) == reference.contains(probe)
+    kernel = mine.kernel()
+    assert kernel.rows() == reference.kernel().rows()
+    assert all(x.__class__ is Fraction for row in kernel.rows() for x in row.entries.values())
+    reordered = RowBasis(dim)
+    for i in order:
+        reordered.insert(stream[i])
+    assert reordered == mine

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oplab import (
     ArityMismatch,
@@ -168,3 +170,21 @@ def test_element_text_round_trip():
         parse_element("1*(1,2) + 1*(1)")
     with pytest.raises(ValueError):
         parse_element("0")
+
+
+@given(
+    st.text(
+        alphabet=st.one_of(st.sampled_from("0123456789()+-*/, "), st.characters()),
+        max_size=40,
+    )
+)
+@example("1/0*(1,2)")
+@example("(1,,2)")
+@example("1" * 5000 + "*(1)")
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parse_element_fuzz_raises_only_value_errors(text):
+    try:
+        element = parse_element(text)
+    except ValueError:
+        return
+    assert parse_element(format_element(element), element.arity) == element
