@@ -418,15 +418,27 @@ def _combine(
     return accum
 
 
+def _table_columns(algebra: StructureAlgebra) -> list[list[dict[int, Fraction | int]]]:
+    """columns[j][i]: the coordinates of b_i b_j, read-only.  Integral
+    entries are held as ints; equal entries share one dict."""
+    shared: dict[tuple, dict[int, Fraction | int]] = {}
+
+    def integral(entries: Mapping[int, Fraction]) -> dict[int, Fraction | int]:
+        key = tuple((k, d.numerator if d.denominator == 1 else d) for k, d in entries.items())
+        return shared.setdefault(key, dict(key))
+
+    return [[integral(row[j].entries) for row in algebra.table] for j in range(algebra.dim)]
+
+
 def _word_evaluator(
-    algebra: StructureAlgebra, words: Sequence[Sequence[int]]
+    columns: Sequence[Sequence[Mapping[int, Fraction | int]]], words: Sequence[Sequence[int]]
 ) -> Callable[[Sequence[int]], dict[int, dict[int, Fraction | int]]]:
     """The evaluation kernel.  For distinct words of one length n >= 1 over
-    1..n (permutation sequences), returns a function from a tuple of n
-    basis indices to {index of w in `words`: coordinates of b_{tup[w_1]}
-    ... b_{tup[w_n]}} over the words w whose product is nonzero (read-only
-    dicts; they may be table entries).  Integral table entries are held
-    as ints, so on an integral table every coordinate is an int; other
+    1..n (permutation sequences) and an algebra's `_table_columns`,
+    returns a function from a tuple of n basis indices to {index of w in
+    `words`: coordinates of b_{tup[w_1]} ... b_{tup[w_n]}} over the words
+    w whose product is nonzero (read-only dicts; they may be table
+    entries).  On an integral table every coordinate is an int; other
     entries stay ``Fraction``.  The words form a trie: a shared
     prefix is multiplied once per tuple, and a subtree is dropped as soon
     as its prefix product vanishes.
@@ -437,15 +449,6 @@ def _word_evaluator(
         for v in word[:-1]:
             node = node.setdefault(v - 1, {})
         node[word[-1] - 1] = index  # the leaf level holds the word's index
-    # columns[j][i]: coordinates of b_i b_j, integral entries as ints; equal
-    # entries share one dict
-    shared: dict[tuple, dict[int, Fraction | int]] = {}
-
-    def integral(entries: Mapping[int, Fraction]) -> dict[int, Fraction | int]:
-        key = tuple((k, d.numerator if d.denominator == 1 else d) for k, d in entries.items())
-        return shared.setdefault(key, dict(key))
-
-    columns = [[integral(row[j].entries) for row in algebra.table] for j in range(algebra.dim)]
 
     def products(tup: Sequence[int]) -> dict[int, dict[int, Fraction | int]]:
         out: dict[int, dict[int, Fraction | int]] = {}
@@ -485,7 +488,7 @@ def is_identity(poly: NcPoly, algebra: StructureAlgebra) -> bool:
     if n == 0:
         return evaluate_nullary(theta, algebra).is_zero()
     coeffs = list(theta.terms.values())
-    products = _word_evaluator(algebra, [perm.seq for perm in theta.terms])
+    products = _word_evaluator(_table_columns(algebra), [perm.seq for perm in theta.terms])
     for tup in product(range(algebra.dim), repeat=n):
         found = products(tup)
         if _combine({w: coeffs[w] for w in found}, found):

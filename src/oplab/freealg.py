@@ -39,7 +39,7 @@ __all__ = [
 
 Word = tuple[int, ...]
 
-# Bounds on the powers that the parser expands (see parse_poly).
+# Bounds on the powers and products that the parser expands (see parse_poly).
 MAX_EXPONENT = 64
 MAX_POWER_SIZE = 10**6
 
@@ -271,10 +271,24 @@ class _Parser:
                 return result
 
     def term(self) -> NcPoly:
-        result = self.factor()
+        # The expansion is bounded before anything is multiplied, by the
+        # measure of _power_size: the factors' term counts multiply, and
+        # their degrees and coefficient bits add.
+        factors = [self.factor()]
+        terms, weight = len(factors[0].terms), _weight(factors[0])
         while self.peek() == "*":
+            star = self.pos
             self.pos += 1
-            result = result.mul(self.factor())
+            factor = self.factor()
+            terms *= len(factor.terms)
+            weight += _weight(factor)
+            if terms * weight > MAX_POWER_SIZE:
+                self.pos = star
+                raise self.error("product too large to expand")
+            factors.append(factor)
+        result = factors[0]
+        for factor in factors[1:]:
+            result = result.mul(factor)
         return result
 
     def factor(self) -> NcPoly:
@@ -318,22 +332,29 @@ class _Parser:
         raise self.error("expected a rational, variable, or parenthesized group")
 
 
+def _weight(poly: NcPoly) -> int:
+    """d + b + 1, where d is the degree and b bounds the bit size of the
+    coefficients: a factor's share of the size of a product's expansion."""
+    bits = max(
+        (c.numerator.bit_length() + c.denominator.bit_length() for c in poly.terms.values()),
+        default=0,
+    )
+    return poly.degree() + bits + 1
+
+
 def _power_size(base: NcPoly, exponent: int) -> int:
     """An upper bound on the letters and coefficient bits that base^exponent
     takes to expand: terms^e words of degree d*e, coefficients of at most
-    e*b bits each, where b bounds the bit size of base's coefficients."""
-    bits = max(
-        (c.numerator.bit_length() + c.denominator.bit_length() for c in base.terms.values()),
-        default=0,
-    )
-    return len(base.terms) ** exponent * exponent * (base.degree() + bits + 1)
+    e*b bits each (see _weight)."""
+    return len(base.terms) ** exponent * exponent * _weight(base)
 
 
 def parse_poly(text: str) -> NcPoly:
     """Parse polynomial text; raises PolyParseError with the failure offset.
 
     A power is expanded only if it has exponent at most MAX_EXPONENT and
-    an expansion of at most MAX_POWER_SIZE letters and coefficient bits.
+    an expansion of at most MAX_POWER_SIZE letters and coefficient bits; a
+    product of factors, only if its expansion is within the same bound.
     """
     parser = _Parser(text)
     try:

@@ -8,11 +8,13 @@ as a compositional closure fixpoint (an independent algorithm kept for
 cross-validation), and as the kernel of the evaluation map against a
 concrete algebra.
 
-Evaluation kernels exploit one exact reduction: the evaluation row of a
-permuted argument tuple is a right-translate of the representative
+Evaluation kernels exploit two exact reductions.  The evaluation row of
+a permuted argument tuple is a right-translate of the representative
 tuple's row, so it suffices to enumerate unordered tuples and close the
-row space under the action afterwards.  This is lossless; nothing is
-sampled.
+row space under the action afterwards.  Within one tuple, permutations
+that give the same arrangement of its basis indices give the same
+product, so each arrangement is evaluated once.  Both are lossless;
+nothing is sampled.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebras import StructureAlgebra, _word_evaluator
+from .algebras import StructureAlgebra, _table_columns, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
 from .linalg import RowBasis, SparseVector, format_rational, parse_rational
 from .operad import (
@@ -42,6 +44,7 @@ from .operad import (
 )
 from .perms import (
     all_permutations,
+    arrangement_classes,
     multiply,
     perm_index,
     sn_generators,
@@ -294,11 +297,18 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
     Moves: right action by the generating pair of S_m, padding with the
     binary identity on either side, and (unital mode) contraction with
     the nullary identity.  Written independently of the spanning path.
+    Images aimed at an arity whose basis is already all of kS_m are not
+    formed: inserting them could not grow it.
     """
     lo = 0 if gens.mode == UNITAL else 1
     unital = gens.mode == UNITAL
     bases = {m: RowBasis(math.factorial(m)) for m in range(lo, hi + 1)}
     total_capacity = sum(math.factorial(m) for m in range(lo, hi + 1))
+
+    def open_at(m: int) -> bool:
+        basis = bases.get(m)
+        return basis is not None and basis.rank < basis.dimension
+
     rank_total = 0
     unit2 = OperadElement.unit(2)
     unit0 = OperadElement.unit(0)
@@ -310,13 +320,13 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
     while queue and rank_total < total_capacity:
         theta = queue.pop()
         m = theta.arity
-        images = [act(theta, g) for g in sn_generators(m)]
-        if m + 1 <= hi:
+        images = [act(theta, g) for g in sn_generators(m)] if open_at(m) else []
+        if open_at(m + 1):
             for i in range(1, m + 1):
                 images.append(partial_compose(theta, i, unit2))
             for j in (1, 2):
                 images.append(partial_compose(unit2, j, theta))
-        if unital and m >= 1 and m - 1 >= lo:
+        if unital and m >= 1 and open_at(m - 1):
             for i in range(1, m + 1):
                 images.append(partial_compose(theta, i, unit0))
         for image in images:
@@ -425,26 +435,62 @@ def identities_slice(
         tuples = combinations_with_replacement(range(dim), n)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
+    rows = _evaluation_rows(algebra, n, tuples)
+    _saturate_under_action(rows, n)
+    return IdealSlice(n, rows.kernel())
+
+
+def _evaluation_rows(
+    algebra: StructureAlgebra, n: int, tuples: Iterable[tuple[int, ...]]
+) -> RowBasis:
+    """The span of the distinct evaluation rows of nondecreasing tuples.
+
+    A product depends only on the arrangement of the tuple's basis
+    indices, so each distinct arrangement is evaluated once, on its
+    lex-first word, and the row of an output coordinate is built only for
+    a new signature (the tuple's multiplicity pattern and the coefficient
+    of every arrangement).  Everything per pattern lives for one call.
+    """
     fact_n = math.factorial(n)
-    # In lex order a word's index in the trie is the permutation index si.
-    products = _word_evaluator(algebra, [p.seq for p in all_permutations(n)])
+    columns = _table_columns(algebra)
+    # Per multiplicity pattern of a tuple: the evaluator on the lex-first
+    # word of each distinct arrangement, and the arrangement class of
+    # every permutation index.
+    by_pattern: dict[tuple[int, ...], tuple] = {}
     rows = RowBasis(fact_n)
+    signatures: set[tuple] = set()
     seen: set[tuple] = set()
     for tup in tuples:
-        by_coord: dict[int, dict[int, Fraction | int]] = {}
-        for si, vec in products(tup).items():
+        # Tuples are nondecreasing, so equal indices sit in blocks.
+        pattern = tuple(len(list(block)) for _, block in groupby(tup))
+        entry = by_pattern.get(pattern)
+        if entry is None:
+            reps, cls = arrangement_classes(pattern)
+            entry = by_pattern[pattern] = (_word_evaluator(columns, reps), cls, len(reps))
+        products, cls, classes = entry
+        by_coord: dict[int, list[Fraction | int]] = {}
+        for k, vec in products(tup).items():
             for coord, c in vec.items():
-                by_coord.setdefault(coord, {})[si] = c
-        for row in by_coord.values():
-            key = tuple(sorted(row.items()))
+                coefs = by_coord.get(coord)
+                if coefs is None:
+                    coefs = by_coord[coord] = [0] * classes
+                coefs[k] = c
+        for coefs in by_coord.values():
+            # The row is coefs[cls[si]] at si, so equal signatures give
+            # equal rows; distinct ones still may, hence the row check.
+            signature = (pattern, tuple(coefs))
+            if signature in signatures:
+                continue
+            signatures.add(signature)
+            row = {si: c for si, c in enumerate(map(coefs.__getitem__, cls)) if c}
+            key = tuple(row.items())
             if key in seen:
                 continue
             seen.add(key)
             vec = SparseVector(fact_n)
             vec.entries = row
             rows.insert(vec)
-    _saturate_under_action(rows, n)
-    return IdealSlice(n, rows.kernel())
+    return rows
 
 
 def codimension(
@@ -617,9 +663,10 @@ def slices_equal(
 
 
 def generator_set_hash(gens: GeneratorSet) -> str:
-    """Content hash of the sorted canonical generator texts."""
-    digest = hashlib.sha256(gens.canonical_text().encode("utf-8")).hexdigest()
-    return digest[:16]
+    """Content hash of the sorted canonical generator texts: the full
+    sha256 hex digest, the only link between a cache file and its
+    generator set."""
+    return hashlib.sha256(gens.canonical_text().encode("utf-8")).hexdigest()
 
 
 def slice_cache_path(cache_dir: str | Path, gens: GeneratorSet, arity: int) -> Path:

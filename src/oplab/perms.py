@@ -19,6 +19,7 @@ __all__ = [
     "ArityMismatch",
     "Permutation",
     "all_permutations",
+    "arrangement_classes",
     "block_compose",
     "format_permutation",
     "identity",
@@ -150,6 +151,34 @@ def sn_generators(arity: int) -> tuple[Permutation, ...]:
     if arity == 2:
         return (swap,)
     return (swap, Permutation(tuple(range(2, arity + 1)) + (1,)))
+
+
+def arrangement_classes(
+    pattern: Sequence[int],
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The arrangements of a multiset with multiplicity pattern (m_1, ...,
+    m_k): letters 1..m_1 carry label 0, the next m_2 letters label 1, and
+    so on, and a permutation's arrangement is the label word of its
+    sequence.  Returns the lex-first sequence of each distinct arrangement
+    (the minimal coset representatives of the Young subgroup S_{m_1} x
+    ... x S_{m_k}), in lex order, and cls, where cls[si] is the position
+    in that list of the arrangement of the permutation with lex index si.
+    """
+    # labels[v]: the label of letter v (labels[0] is unused)
+    labels = [0] + [label for label, size in enumerate(pattern) for _ in range(size)]
+    position: dict[tuple[int, ...], int] = {}
+    reps: list[tuple[int, ...]] = []
+    cls: list[int] = []
+    for seq in _index_map(len(labels) - 1):
+        key = tuple(map(labels.__getitem__, seq))
+        k = position.get(key)
+        if k is None:
+            # Sequences come in lex order, so the first of an arrangement
+            # is its lex-first member.
+            k = position[key] = len(reps)
+            reps.append(seq)
+        cls.append(k)
+    return reps, cls
 
 
 def unit_contraction_table(sizes: Sequence[int]) -> list[int]:

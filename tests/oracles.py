@@ -2,21 +2,25 @@
 
 Everything here is deliberately written from scratch against the
 mathematical definitions (words, substitution, dense Gaussian
-elimination) and shares no algorithmic code with the package.  Two
+elimination) and shares no algorithmic code with the package.  The
 exceptions are the paths that fast paths of the package replaced:
 `spanning_core_vectors_reference`, the element-level spanning family that
 the index-table fast path in `oplab.ideals` replaced (it composes
-`OperadElement`s with `full_compose`), and `FractionRowBasis`, the
+`OperadElement`s with `full_compose`); `FractionRowBasis`, the
 unit-pivot RREF on `Fraction` entries that the primitive-integer
-`oplab.RowBasis` replaced.  The module also holds two test algebras whose
-tables are not monomial.
+`oplab.RowBasis` replaced; and `identities_slice_reference`, which
+evaluates every permutation on every tuple, where `oplab.identities_slice`
+evaluates one word per arrangement.  The module also holds two test
+algebras whose tables are not monomial.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
+import oplab.ideals as ideals
 from oplab import (
     UNITAL,
     DimensionMismatch,
@@ -24,11 +28,14 @@ from oplab import (
     NcPoly,
     OperadElement,
     Permutation,
+    RowBasis,
     StructureAlgebra,
     SparseVector,
+    all_permutations,
     full_compose,
     to_vector,
 )
+from oplab.algebras import _table_columns, _word_evaluator
 
 # Dual numbers in the basis {1, f = 1 + t}: f * f = -1 + 2f has two
 # coordinates.
@@ -195,8 +202,6 @@ def dense_kernel(matrix: list[list[Fraction]], cols: int) -> list[list[Fraction]
 def naive_identity_rows(algebra: StructureAlgebra, n: int) -> list[list[Fraction]]:
     """Evaluation rows over ALL ordered basis tuples (the full dim^n sweep),
     one row per (tuple, coordinate), columns indexed by permutations."""
-    from oplab import all_permutations
-
     perms = all_permutations(n)
     rows = []
     dim = algebra.dim
@@ -240,6 +245,38 @@ def spanning_core_vectors_reference(gens: GeneratorSet, n: int) -> list[SparseVe
                     if not element.is_zero():
                         vectors.append(to_vector(element))
     return vectors
+
+
+def identities_slice_reference(algebra: StructureAlgebra, n: int) -> RowBasis:
+    """The basis of the arity-n identity slice, with all of S_n evaluated
+    on every unordered tuple: one row per (tuple, output coordinate),
+    distinct rows inserted, the row space closed under the action and its
+    kernel taken."""
+    masks = algebra._zero_overlap_masks
+    if masks is not None:
+        tuples = ideals._disjoint_multisets(masks, n)
+    else:
+        tuples = combinations_with_replacement(range(algebra.dim), n)
+    fact_n = math.factorial(n)
+    # In lex order a word's index in the trie is the permutation index si.
+    products = _word_evaluator(_table_columns(algebra), [p.seq for p in all_permutations(n)])
+    rows = RowBasis(fact_n)
+    seen: set[tuple] = set()
+    for tup in tuples:
+        by_coord: dict[int, dict[int, Fraction | int]] = {}
+        for si, vec in products(tup).items():
+            for coord, c in vec.items():
+                by_coord.setdefault(coord, {})[si] = c
+        for row in by_coord.values():
+            key = tuple(sorted(row.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            vec = SparseVector(fact_n)
+            vec.entries = row
+            rows.insert(vec)
+    ideals._saturate_under_action(rows, n)
+    return rows.kernel()
 
 
 class FractionRowBasis:

@@ -343,14 +343,14 @@ def test_is_identity_matches_brute_force_evaluation():
 
 def test_word_evaluator_matches_evaluate():
     # every word's product, coordinate by coordinate, on random tuples
-    from oplab.algebras import _word_evaluator
+    from oplab.algebras import _table_columns, _word_evaluator
 
     rng = random.Random(42)
     for algebra in _kernel_algebras():
         basis = [algebra.basis_element(i) for i in range(algebra.dim)]
         for n in range(1, 5):
             words = [p.seq for p in _random_theta(rng, n, 5).terms]
-            products = _word_evaluator(algebra, words)
+            products = _word_evaluator(_table_columns(algebra), words)
             for _ in range(20):
                 tup = [rng.randrange(algebra.dim) for _ in range(n)]
                 args = [basis[i] for i in tup]

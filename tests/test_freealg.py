@@ -1,6 +1,9 @@
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -265,6 +268,27 @@ def test_multilinearize_grassmann_triple_commutator():
     assert is_identity_general(f, E3)
     for part in multilinearize(f):
         assert is_identity(part, E3)
+
+
+def test_product_of_sums_too_large_to_expand_is_refused():
+    # 16 factors (x1+x2) would expand to 65,536 words of 16 letters; the
+    # product is refused at a '*' before anything is multiplied.
+    text = "*".join(["(x1+x2)"] * 16)
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.1
+    assert text[err.value.position] == "*"
+    # a product within the bound still expands
+    assert len(parse_poly("*".join(["(x1+x2)"] * 10)).terms) == 1024
+
+
+def test_readme_polynomials_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = re.findall(r'--polys?[12]? "([^"]*)"', readme)
+    assert len(texts) >= 8
+    for text in texts:
+        parse_poly(text)
 
 
 poly_text = st.text(

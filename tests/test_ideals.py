@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import warnings
+from itertools import product
 from fractions import Fraction
 from unittest import mock
 
@@ -20,11 +21,13 @@ from oplab import (
     Permutation,
     RowBasis,
     SparseVector,
+    StructureAlgebra,
     UNITAL,
     act,
     algebra_from_spec,
     all_permutations,
     codimension,
+    direct_sum,
     full_compose,
     full_slice_map,
     generator_set_hash,
@@ -57,6 +60,8 @@ from oracles import (
     M2_UNIT_SPLIT,
     dense_kernel,
     dense_rank,
+    dense_rref,
+    identities_slice_reference,
     naive_identity_rows,
     spanning_core_vectors_reference,
 )
@@ -260,6 +265,103 @@ def test_identities_slice_matches_naive_enumeration():
         assert mine.dim == len(reference)
         for ref in reference:
             assert mine.basis.contains(SparseVector.from_dense(ref))
+
+
+# (name, algebra, arities): identity slices checked against the path that
+# evaluates every permutation on every tuple.
+REFERENCE_CASES = [
+    ("M_2", lambda: matrix_algebra(2), range(1, 6)),
+    ("E_3", lambda: grassmann_algebra(3), range(1, 5)),
+    ("E_4", lambda: grassmann_algebra(4), range(1, 6)),
+    ("M_2+E_2", lambda: direct_sum([matrix_algebra(2), grassmann_algebra(2)]), range(1, 5)),
+    ("dual shifted", lambda: algebra_from_spec(DUAL_SHIFTED), range(1, 6)),
+    ("M_2 unit split", lambda: algebra_from_spec(M2_UNIT_SPLIT), range(1, 6)),
+    ("E_6", lambda: grassmann_algebra(6), (5,)),
+]
+
+
+def evaluation_rows_and_slice(compute, algebra, n):
+    """The evaluation row space before the action closes it, as canonical
+    rows, and the slice basis that `compute` returns."""
+    before = []
+    saturate = ideals_module._saturate_under_action
+
+    def recording(basis, arity):
+        before.append(basis.row_dicts())
+        saturate(basis, arity)
+
+    with mock.patch.object(ideals_module, "_saturate_under_action", recording):
+        result = compute(algebra, n)
+    return before, getattr(result, "basis", result)
+
+
+def assert_matches_reference(algebra, n):
+    # The rows reach the basis before the action closes it, which would
+    # hide a row left out; so the row spaces are compared first.
+    fast = evaluation_rows_and_slice(identities_slice, algebra, n)
+    assert fast == evaluation_rows_and_slice(identities_slice_reference, algebra, n)
+
+
+@pytest.mark.parametrize(
+    "build, arities", [c[1:] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
+)
+def test_identities_slice_matches_reference(build, arities):
+    algebra = build()
+    for n in arities:
+        assert_matches_reference(algebra, n)
+
+
+def rebased(algebra, matrix):
+    """The same algebra in the basis b'_i = sum_j matrix[i][j] b_j."""
+    dim = algebra.dim
+    identity_rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    reduced, _ = dense_rref([list(row) + unit for row, unit in zip(matrix, identity_rows)])
+    inverse = [row[dim:] for row in reduced]
+
+    def new_coords(old):
+        return SparseVector(
+            dim, enumerate(sum(old[k] * inverse[k][l] for k in range(dim)) for l in range(dim))
+        )
+
+    table = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            old = [Fraction(0)] * dim
+            for a, b in product(range(dim), repeat=2):
+                scale = matrix[i][a] * matrix[j][b]
+                for k, c in algebra.table[a][b].items():
+                    old[k] += scale * c
+            row.append(new_coords(old))
+        table.append(row)
+    labels = [f"b{i}" for i in range(dim)]
+    return StructureAlgebra(labels, table, new_coords(algebra.unit.to_dense()))
+
+
+@st.composite
+def rebased_algebras(draw):
+    # A random triangular change of basis with invertible diagonal turns
+    # monomial tables into ones with several coordinates and fractions.
+    algebra = draw(st.sampled_from([
+        matrix_algebra(2),
+        grassmann_algebra(2),
+        algebra_from_spec(DUAL_SHIFTED),
+        direct_sum([matrix_algebra(1), grassmann_algebra(1)]),
+    ]))
+    dim = algebra.dim
+    entries = st.sampled_from([Fraction(c) for c in (-2, -1, 0, 0, 1, 2)])
+    diagonal = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+    matrix = [
+        [draw(entries) if j < i else draw(diagonal) if j == i else Fraction(0) for j in range(dim)]
+        for i in range(dim)
+    ]
+    return rebased(algebra, matrix)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(algebra=rebased_algebras(), n=st.integers(1, 5))
+def test_identities_slice_matches_reference_after_basis_change(algebra, n):
+    assert_matches_reference(algebra, n)
 
 
 def test_identities_slice_consistency_with_is_identity():
@@ -605,6 +707,21 @@ def test_slice_cache_hash_distinguishes_generators():
     assert generator_set_hash(GeneratorSet([thc, st4])) == generator_set_hash(
         GeneratorSet([st4, thc])
     )
+
+
+def test_cache_name_carries_the_full_digest(tmp_path):
+    gens = commutator_gens()
+    digest = hashlib.sha256(gens.canonical_text().encode("utf-8")).hexdigest()
+    assert generator_set_hash(gens) == digest
+    assert slice_cache_path(tmp_path, gens, 3).name == f"{digest}-unital-n3.opideal"
+    # An entry under the old 16-digit name is never read, even when it
+    # holds a loadable slice of the right arity.
+    stale = tmp_path / f"{digest[:16]}-unital-n3.opideal"
+    save_slice_file(stale, IdealSlice.zero(3), gens.mode)
+    stats: dict = {}
+    assert ideal_slice_spanning(gens, 3, cache_dir=tmp_path, stats=stats).dim == 5
+    assert stats["cache_hit"] is False
+    assert load_slice_file(stale)[0].dim == 0
 
 
 def test_save_load_rejects_corruption(tmp_path):

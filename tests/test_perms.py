@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -14,7 +15,12 @@ from oplab import (
     parse_permutation,
     perm_index,
 )
-from oplab.perms import sn_generators, unit_contraction_table, unit_shift_table
+from oplab.perms import (
+    arrangement_classes,
+    sn_generators,
+    unit_contraction_table,
+    unit_shift_table,
+)
 from oracles import word_substitution_compose
 
 
@@ -210,3 +216,38 @@ def test_sn_generators_generate_the_group():
                     frontier.append(q)
         assert len(reached) == len(all_permutations(n))
         assert len(sn_generators(n)) == min(max(n - 1, 0), 2)
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for head in range(1, n + 1):
+        for tail in _compositions(n - head):
+            yield (head,) + tail
+
+
+def test_arrangement_classes():
+    # For a multiplicity pattern: the classes partition S_n; each class is
+    # the prod m_i! permutations of one arrangement of the labels; its
+    # representative is the lex-first member.
+    for n in range(1, 7):
+        perms = all_permutations(n)
+        for pattern in _compositions(n):
+            labels = [label for label, size in enumerate(pattern) for _ in range(size)]
+            reps, cls = arrangement_classes(pattern)
+            assert len(cls) == len(perms)
+            assert set(cls) == set(range(len(reps)))
+            members: dict[int, list] = {}
+            for si, p in enumerate(perms):
+                members.setdefault(cls[si], []).append(p.seq)
+            size = math.prod(math.factorial(m) for m in pattern)
+            assert len(reps) == len(perms) // size
+            arrangements = set()
+            for k, rep in enumerate(reps):
+                found = {tuple(labels[v - 1] for v in seq) for seq in members[k]}
+                assert len(members[k]) == size and len(found) == 1
+                assert rep == min(members[k])
+                arrangements |= found
+            assert len(arrangements) == len(reps)
+            assert reps == sorted(reps)
