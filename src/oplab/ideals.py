@@ -27,7 +27,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from heapq import heappop, heappush
+from itertools import combinations_with_replacement, count, groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -170,20 +171,50 @@ def _action_tables(arity: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _saturate_under_action(basis: RowBasis, arity: int) -> None:
-    """Close the row space of `basis` under the right S_arity-action."""
+def _saturate_under_action(
+    basis: RowBasis, seeds: Iterable[Mapping[int, Fraction | int]]
+) -> None:
+    """Close the row space of `basis` under the right S_n-action, n! being
+    its dimension; `seeds` must span that row space.
+
+    Only sparse vectors are translated: a candidate is the translate of a
+    seed, or of an earlier candidate that was inserted, by one of the
+    generating pair, so it has a seed's support size.  Candidates wait in a
+    heap keyed by the length of their remainder modulo the basis, and the
+    shortest remainder is inserted first; one that has grown since it was
+    pushed is pushed back.  The inserted vectors span a space that holds
+    the seeds and is closed under both generators, so the subspace is the
+    same as any other closure's, and so are its canonical rows.
+    """
+    arity = 0
+    while math.factorial(arity) < basis.dimension:
+        arity += 1
     tables = _action_tables(arity)
-    if not tables:
-        return
-    queue = basis.row_dicts()
     dim = basis.dimension
-    while queue:
-        row = queue.pop()
+    heap: list[tuple[int, int, dict, dict[int, int]]] = []
+    tick = count()
+
+    def offer(vec: Mapping[int, Fraction | int]) -> None:
         for table in tables:
-            vec = SparseVector(dim)
-            vec.entries = {table[i]: c for i, c in row.items()}
-            if basis.insert(vec):
-                queue.append(vec.entries)
+            translate = {table[i]: c for i, c in vec.items()}
+            remainder = basis.reduce(translate)
+            if remainder:
+                heappush(heap, (len(remainder), next(tick), translate, remainder))
+
+    for seed in seeds:
+        offer(seed)
+    while heap and basis.rank < dim:
+        _, _, candidate, remainder = heappop(heap)
+        remainder = basis.reduce(remainder)
+        if not remainder:
+            continue
+        if heap and len(remainder) > heap[0][0]:
+            heappush(heap, (len(remainder), next(tick), candidate, remainder))
+            continue
+        vec = SparseVector(dim)
+        vec.entries = remainder
+        basis.insert(vec)
+        offer(candidate)
 
 
 def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
@@ -278,13 +309,15 @@ def ideal_slice_spanning(
         stats["cache_hit"] = False
     basis = RowBasis(math.factorial(n))
     seen: set[tuple] = set()
+    seeds: list[dict[int, Fraction | int]] = []
     for vec in _spanning_core_vectors(gens, n):
         key = tuple(sorted(vec.entries.items()))
         if key in seen:
             continue
         seen.add(key)
-        basis.insert(vec)
-    _saturate_under_action(basis, n)
+        if basis.insert(vec):
+            seeds.append(vec.entries)
+    _saturate_under_action(basis, seeds)
     result = IdealSlice(n, basis)
     if path is not None:
         save_slice_file(path, result, gens.mode)
@@ -413,15 +446,24 @@ def _disjoint_multiset_count(masks: Sequence[int], n: int) -> int:
 def identities_slice(
     algebra: StructureAlgebra, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> IdealSlice:
-    """All arity-n elements that vanish under every evaluation on the algebra.
+    """All arity-n elements that vanish under every evaluation on the algebra:
+    the kernel of the closed evaluation row space.  Refuses with
+    BudgetExceeded when the tuples to evaluate do not fit the budget."""
+    return IdealSlice(n, _closed_evaluation_rows(algebra, n, budget).kernel())
 
-    Computed as the kernel of the evaluation row space: one row per
-    (argument tuple, output coordinate).  Tuples are enumerated without
-    order (permuted tuples give right-translated rows) and the row space
-    is closed under the action before the kernel is taken, which is exact.
-    The unordered tuple count is charged against the budget, exactly
-    (counted from the masks) when only disjoint supports are enumerated;
-    if it does not fit the call refuses rather than sampling.
+
+def _closed_evaluation_rows(
+    algebra: StructureAlgebra, n: int, budget: int
+) -> RowBasis:
+    """The evaluation row space, closed under the action: one row per
+    (argument tuple, output coordinate).  Its rank is the codimension.
+
+    Tuples are enumerated without order (permuted tuples give
+    right-translated rows) and the row space is closed under the action
+    afterwards, which is exact.  The unordered tuple count is charged
+    against the budget, exactly (counted from the masks) when only
+    disjoint supports are enumerated; if it does not fit the call refuses
+    rather than sampling.
     """
     if n < 1:
         raise ValueError("identity slices are defined for arity >= 1")
@@ -435,15 +477,16 @@ def identities_slice(
         tuples = combinations_with_replacement(range(dim), n)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    rows = _evaluation_rows(algebra, n, tuples)
-    _saturate_under_action(rows, n)
-    return IdealSlice(n, rows.kernel())
+    rows, seeds = _evaluation_rows(algebra, n, tuples)
+    _saturate_under_action(rows, seeds)
+    return rows
 
 
 def _evaluation_rows(
     algebra: StructureAlgebra, n: int, tuples: Iterable[tuple[int, ...]]
-) -> RowBasis:
-    """The span of the distinct evaluation rows of nondecreasing tuples.
+) -> tuple[RowBasis, list[dict[int, Fraction | int]]]:
+    """The span of the distinct evaluation rows of nondecreasing tuples,
+    and the rows that grew it.
 
     A product depends only on the arrangement of the tuple's basis
     indices, so each distinct arrangement is evaluated once, on its
@@ -458,6 +501,7 @@ def _evaluation_rows(
     # every permutation index.
     by_pattern: dict[tuple[int, ...], tuple] = {}
     rows = RowBasis(fact_n)
+    grown: list[dict[int, Fraction | int]] = []
     signatures: set[tuple] = set()
     seen: set[tuple] = set()
     for tup in tuples:
@@ -489,15 +533,17 @@ def _evaluation_rows(
             seen.add(key)
             vec = SparseVector(fact_n)
             vec.entries = row
-            rows.insert(vec)
-    return rows
+            if rows.insert(vec):
+                grown.append(row)
+    return rows, grown
 
 
 def codimension(
     algebra: StructureAlgebra, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """n! minus the dimension of the arity-n identity slice."""
-    return math.factorial(n) - identities_slice(algebra, n, budget=budget).dim
+    """n! minus the dimension of the arity-n identity slice: the rank of the
+    closed evaluation row space, read without forming its kernel."""
+    return _closed_evaluation_rows(algebra, n, budget).rank
 
 
 def min_identity_degree(
@@ -505,7 +551,7 @@ def min_identity_degree(
 ) -> int | None:
     """Least arity <= max_arity with a nonzero identity slice, else None."""
     for n in range(1, max_arity + 1):
-        if identities_slice(algebra, n, budget=budget).dim > 0:
+        if _closed_evaluation_rows(algebra, n, budget).rank < math.factorial(n):
             return n
     return None
 
@@ -681,8 +727,14 @@ def save_slice_file(path: str | Path, slice_: IdealSlice, mode: str) -> None:
         CACHE_MAGIC,
         f"arity={slice_.arity} dim={slice_.dim} order=lex mode={mode}",
     ]
-    for row in slice_.basis.rows():
-        lines.append(" ".join(format_rational(v) for v in row.to_dense()))
+    width = slice_.basis.dimension
+    for row in slice_.basis.row_dicts():
+        # The RREF row is the primitive row over its pivot entry.
+        pivot = row[min(row)]
+        tokens = ["0"] * width
+        for c, x in row.items():
+            tokens[c] = format_rational(Fraction(x, pivot))
+        lines.append(" ".join(tokens))
     payload = "\n".join(lines) + "\n"
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:

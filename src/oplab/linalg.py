@@ -215,9 +215,10 @@ class RowBasis:
                 f"dimension mismatch: {vec.dimension} vs {self.dimension}"
             )
 
-    def _reduce(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
-        """A positive multiple of entries minus its projection on the rows:
-        an integer vector that is zero in every pivot column."""
+    def reduce(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
+        """The remainder of entries modulo the rows: a fresh integer map, a
+        positive multiple of entries minus its projection on the rows, zero
+        in every pivot column."""
         v = _integral(entries)
         rows = self._rows
         # Stored rows contain no pivot column other than their own, so a
@@ -246,12 +247,12 @@ class RowBasis:
     def contains(self, vec: SparseVector) -> bool:
         """True iff vec lies in the span of the basis rows."""
         self._check(vec)
-        return not self._reduce(vec.entries)
+        return not self.reduce(vec.entries)
 
     def insert(self, vec: SparseVector) -> bool:
         """Add vec to the span; returns True iff the rank grew."""
         self._check(vec)
-        v = self._reduce(vec.entries)
+        v = self.reduce(vec.entries)
         if not v:
             return False
         pivot = min(v)

@@ -8,10 +8,12 @@ exceptions are the paths that fast paths of the package replaced:
 the index-table fast path in `oplab.ideals` replaced (it composes
 `OperadElement`s with `full_compose`); `FractionRowBasis`, the
 unit-pivot RREF on `Fraction` entries that the primitive-integer
-`oplab.RowBasis` replaced; and `identities_slice_reference`, which
+`oplab.RowBasis` replaced; `identities_slice_reference`, which
 evaluates every permutation on every tuple, where `oplab.identities_slice`
-evaluates one word per arrangement.  The module also holds two test
-algebras whose tables are not monomial.
+evaluates one word per arrangement; and `saturate_under_action_reference`,
+the last-in-first-out closure that translated echelon rows, which the
+sparse best-first closure in `oplab.ideals` replaced.  The module also
+holds two test algebras whose tables are not monomial.
 """
 
 from __future__ import annotations
@@ -275,8 +277,26 @@ def identities_slice_reference(algebra: StructureAlgebra, n: int) -> RowBasis:
             vec = SparseVector(fact_n)
             vec.entries = row
             rows.insert(vec)
-    ideals._saturate_under_action(rows, n)
+    saturate_under_action_reference(rows, n)
     return rows.kernel()
+
+
+def saturate_under_action_reference(basis: RowBasis, arity: int) -> None:
+    """Close the row space of `basis` under the right S_arity-action: each
+    row that grows the basis, starting from the echelon rows, is translated
+    by the generating pair, last in first out."""
+    tables = ideals._action_tables(arity)
+    if not tables:
+        return
+    queue = basis.row_dicts()
+    dim = basis.dimension
+    while queue:
+        row = queue.pop()
+        for table in tables:
+            vec = SparseVector(dim)
+            vec.entries = {table[i]: c for i, c in row.items()}
+            if basis.insert(vec):
+                queue.append(vec.entries)
 
 
 class FractionRowBasis:

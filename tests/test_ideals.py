@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oplab.ideals as ideals_module
+import oracles
 
 from oplab import (
     BudgetExceeded,
     GeneratorSet,
     IdealSlice,
     NONUNITAL,
+    NcPoly,
     OperadElement,
     Permutation,
     RowBasis,
@@ -63,6 +65,7 @@ from oracles import (
     dense_rref,
     identities_slice_reference,
     naive_identity_rows,
+    saturate_under_action_reference,
     spanning_core_vectors_reference,
 )
 
@@ -185,6 +188,92 @@ def test_spanning_core_vectors_match_reference(gens, n):
     assert ideal_slice_spanning(gens, n) == expected
 
 
+def random_lie_element(draw, arity):
+    """A bracketing of the letters of `arity` in a random order."""
+    letters = draw(st.permutations(range(1, arity + 1)))
+
+    def bracket(lo, hi):
+        if hi - lo == 1:
+            return NcPoly.variable(letters[lo])
+        cut = draw(st.integers(lo + 1, hi - 1))
+        left, right = bracket(lo, cut), bracket(cut, hi)
+        return left.mul(right).sub(right.mul(left))
+
+    return poly_to_operad(bracket(0, arity))
+
+
+@st.composite
+def closure_generator_sets(draw):
+    gens = draw(generator_sets())
+    elements = list(gens.elements)
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    for arity in draw(st.lists(st.integers(2, 4), max_size=2)):
+        lie = random_lie_element(draw, arity)
+        if draw(st.booleans()):
+            lie = lie + draw(coefficients) * random_lie_element(draw, arity)
+        if not lie.is_zero():
+            elements.append(draw(coefficients) * lie)
+    return GeneratorSet(elements, gens.mode)
+
+
+def reference_closure(vectors, n):
+    """The span of `vectors` closed by the reference closure."""
+    basis = RowBasis(math.factorial(n))
+    for vec in vectors:
+        basis.insert(vec)
+    saturate_under_action_reference(basis, n)
+    return basis
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gens=closure_generator_sets(), n=st.integers(0, 5))
+def test_spanning_closure_matches_reference(gens, n):
+    # The sparse best-first closure, seeded by ideal_slice_spanning with
+    # the core vectors that grew the basis, against the LIFO closure of
+    # the echelon rows.
+    expected = reference_closure(spanning_core_vectors_reference(gens, n), n)
+    assert ideal_slice_spanning(gens, n).basis == expected
+
+
+@st.composite
+def sparse_vector_sets(draw):
+    n = draw(st.integers(0, 5))
+    width = math.factorial(n)
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    entries = st.dictionaries(st.integers(0, width - 1), coefficients, min_size=1, max_size=4)
+    return n, [SparseVector(width, e) for e in draw(st.lists(entries, max_size=4))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=sparse_vector_sets())
+def test_closure_of_sparse_vectors_matches_reference(case):
+    n, vectors = case
+    basis = RowBasis(math.factorial(n))
+    seeds = [vec.entries for vec in vectors if basis.insert(vec)]
+    ideals_module._saturate_under_action(basis, seeds)
+    assert basis == reference_closure(vectors, n)
+
+
+def test_closure_edge_cases():
+    for n in range(3):
+        basis = RowBasis(math.factorial(n))
+        ideals_module._saturate_under_action(basis, [])
+        assert basis.rank == 0
+    # 2(1,2) + (2,1) generates all of kS_n: the closure reaches full rank.
+    full = OperadElement(2, {identity(2): Fraction(2), Permutation((2, 1)): Fraction(1)})
+    for n in range(2, 6):
+        slice_ = ideal_slice_spanning(GeneratorSet([full]), n)
+        assert slice_.dim == math.factorial(n)
+    for n in range(6):
+        width = math.factorial(n)
+        basis = RowBasis(width)
+        seed = {0: Fraction(3)}
+        basis.insert(SparseVector(width, seed))
+        ideals_module._saturate_under_action(basis, [seed])
+        assert basis.rank == width
+        assert basis == reference_closure([SparseVector(width, seed)], n)
+
+
 def test_closure_stabilization_flag_is_quiet_for_commutator():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -284,13 +373,21 @@ def evaluation_rows_and_slice(compute, algebra, n):
     """The evaluation row space before the action closes it, as canonical
     rows, and the slice basis that `compute` returns."""
     before = []
-    saturate = ideals_module._saturate_under_action
 
-    def recording(basis, arity):
-        before.append(basis.row_dicts())
-        saturate(basis, arity)
+    def recording(closure):
+        def wrapper(basis, *rest):
+            before.append(basis.row_dicts())
+            closure(basis, *rest)
 
-    with mock.patch.object(ideals_module, "_saturate_under_action", recording):
+        return wrapper
+
+    with mock.patch.object(
+        ideals_module, "_saturate_under_action",
+        recording(ideals_module._saturate_under_action),
+    ), mock.patch.object(
+        oracles, "saturate_under_action_reference",
+        recording(oracles.saturate_under_action_reference),
+    ):
         result = compute(algebra, n)
     return before, getattr(result, "basis", result)
 
@@ -309,6 +406,17 @@ def test_identities_slice_matches_reference(build, arities):
     algebra = build()
     for n in arities:
         assert_matches_reference(algebra, n)
+
+
+@pytest.mark.parametrize(
+    "build, arities", [c[1:] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
+)
+def test_codimension_is_rank_of_closed_rows(build, arities):
+    # codimension reads the rank of the closed row space; the slice is its
+    # kernel, so the two must add up to n!.
+    algebra = build()
+    for n in arities:
+        assert codimension(algebra, n) == math.factorial(n) - identities_slice(algebra, n).dim
 
 
 def rebased(algebra, matrix):
