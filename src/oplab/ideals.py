@@ -8,13 +8,19 @@ as a compositional closure fixpoint (an independent algorithm kept for
 cross-validation), and as the kernel of the evaluation map against a
 concrete algebra.
 
-Evaluation kernels exploit two exact reductions.  The evaluation row of
-a permuted argument tuple is a right-translate of the representative
+Three exact reductions keep evaluation small.  The evaluation row of a
+permuted argument tuple is a right-translate of the representative
 tuple's row, so it suffices to enumerate unordered tuples and close the
-row space under the action afterwards.  Within one tuple, permutations
-that give the same arrangement of its basis indices give the same
-product, so each arrangement is evaluated once.  Both are lossless;
-nothing is sampled.
+row space under the action afterwards.  When the unit is a basis vector,
+unit factors drop out of every product, so a tuple's row is its
+unit-free core's row lifted through the slot-deletion map.  Within one
+core, permutations that give the same arrangement of its basis indices
+give the same product, so each arrangement is evaluated once.  For
+generator arities k <= n the spanning family is formed once per
+S_k-orbit of compositions, from the S_k-closed span of the arity-k
+generators: a permuted composition gives a right-translate, which the
+closure under S_n supplies.  All of these are lossless; nothing is
+sampled.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import math
 import os
 import tempfile
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -44,8 +51,11 @@ from .operad import (
     to_vector,
 )
 from .perms import (
+    Permutation,
     all_permutations,
     arrangement_classes,
+    block_compose,
+    identity,
     multiply,
     perm_index,
     sn_generators,
@@ -84,6 +94,8 @@ NONUNITAL = "nonunital"
 DEFAULT_BUDGET = 10**7
 
 CACHE_MAGIC = "OPIDEAL v1"
+# The largest arity a slice file may declare: 10! = 3,628,800 columns.
+MAX_SLICE_ARITY = 10
 
 
 class BudgetExceeded(RuntimeError):
@@ -186,6 +198,9 @@ def _saturate_under_action(
     the seeds and is closed under both generators, so the subspace is the
     same as any other closure's, and so are its canonical rows.
     """
+    seeds = list(seeds)
+    if not seeds:
+        return
     arity = 0
     while math.factorial(arity) < basis.dimension:
         arity += 1
@@ -217,70 +232,102 @@ def _saturate_under_action(
         offer(candidate)
 
 
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
+def _compositions(
+    total: int, parts: int, minimum: int, *, ordered: bool, largest: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Tuples of `parts` ints >= minimum with the given total: all of them
+    if `ordered`, else the nonincreasing ones only, one from each
+    S_parts-orbit.  `largest` bounds the first entry."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if minimum * parts > total:
-        return
-    for head in range(minimum, total - minimum * (parts - 1) + 1):
-        for tail in _compositions(total - head, parts - 1, minimum):
+    lowest = minimum if ordered else max(minimum, -(-total // parts))
+    highest = total - minimum * (parts - 1)
+    if largest is not None:
+        highest = min(highest, largest)
+    for head in range(lowest, highest + 1):
+        cap = None if ordered else head
+        for tail in _compositions(total - head, parts - 1, minimum, ordered=ordered, largest=cap):
             yield (head,) + tail
 
 
 def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]:
-    """The spanning family before the symmetric-group closure: every
-    generator wrapped as 1_3 o (1_r, theta o (1_{s_1},...,1_{s_l}), 1_t)
-    with r + sum(s) + t = n; contractions (s_i = 0) only in unital mode.
+    """A spanning family before the symmetric-group closure: elements
+    1_3 o (1_r, theta o (1_{s_1},...,1_{s_k}), 1_t) with r + sum(s) + t = n;
+    contractions (s_i = 0) only in unital mode.  Its S_n-closure is the
+    slice of the generated ideal.
 
-    Runs on permutation indices.  The contracted middle depends only on
-    the composition s, so it is formed once per s through an index table
-    and dropped if it cancels; the unit wrap is an injective shift of
-    indices S_m -> S_n, applied per (r, t).  The order is r, t, s.
+    Per generator arity k <= n, theta runs over the primitive rows of the
+    generators' span closed under S_k, and s over nonincreasing
+    compositions only.  That is exact: (theta.sigma) o (1_{s_1},...,1_{s_k})
+    is a block-permutation translate of theta o (1_{s_sigma^-1(1)},...), the
+    unit wrap carries right translates to right translates, and the
+    family is closed under S_n afterwards.  An arity k > n, which only
+    unital contractions reach, keeps the generators themselves and every
+    ordered composition: there a k!-wide closure would cost more than the
+    S_n-closure it saves.
+
+    Runs on permutation indices: the contracted middle is formed through
+    an index table S_k -> S_m, or for k > n term by term, and dropped if
+    it cancels; the unit wrap is an injective shift of indices
+    S_m -> S_n, one table per (r, t).  The order is m = n - r - t, then r.
     """
     s_min = 0 if gens.mode == UNITAL else 1
     fact_n = math.factorial(n)
-    contractions: dict[tuple[int, ...], list[int]] = {}
-    shifts: dict[tuple[int, int], list[int]] = {}
+    by_arity: dict[int, list[OperadElement]] = {}
     for theta in gens.elements:
-        # The middles are summed on theta's coefficients times `scale`, the
-        # lcm of their denominators, and divided back once per survivor.
-        scale = math.lcm(*(c.denominator for _, c in theta.items()))
-        terms = [(perm_index(p), c.numerator * (scale // c.denominator)) for p, c in theta.items()]
-        # middles[m]: the nonzero contracted middles of arity m, in s order
-        middles: list[list[dict[int, Fraction | int]]] = []
+        by_arity.setdefault(theta.arity, []).append(theta)
+    # middles[m]: the nonzero contracted middles of arity m
+    middles: list[list[dict[int, int]]] = [[] for _ in range(n + 1)]
+    for k, thetas in sorted(by_arity.items()):
+        if s_min * k > n:
+            continue
+        ordered = k > n
+        if ordered:
+            # Keyed by permutation: nothing of size k! is built.
+            rows = [_integer_row(theta) for theta in thetas]
+            support = {p for row in rows for p in row}
+        else:
+            span = RowBasis(math.factorial(k))
+            seeds = [vec.entries for vec in map(to_vector, thetas) if span.insert(vec)]
+            _saturate_under_action(span, seeds)
+            rows = span.row_dicts()
         for m in range(n + 1):
-            found = []
-            for s in _compositions(m, theta.arity, s_min):
-                table = contractions.get(s)
-                if table is None:
-                    table = contractions[s] = unit_contraction_table(s)
-                middle: dict[int, Fraction | int] = {}
-                for i, c in terms:
-                    j = table[i]
-                    value = middle.get(j, 0) + c
-                    if value:
-                        middle[j] = value
-                    else:
-                        middle.pop(j, None)
-                if middle:
-                    if scale != 1:
-                        middle = {j: Fraction(c, scale) for j, c in middle.items()}
-                    found.append(middle)
-            middles.append(found)
-        for r in range(n + 1):
-            for t in range(n - r + 1):
-                m = n - r - t
-                if not middles[m]:
-                    continue
-                shift = shifts.get((r, m))
-                if shift is None:
-                    shift = shifts[r, m] = unit_shift_table(r, m, t)
-                for middle in middles[m]:
-                    vec = SparseVector(fact_n)
-                    vec.entries = {shift[j]: c for j, c in middle.items()}
-                    yield vec
+            for s in _compositions(m, k, s_min, ordered=ordered):
+                if ordered:
+                    units = [identity(size) for size in s]
+                    table = {p: perm_index(block_compose(p, units)) for p in support}
+                else:
+                    table = unit_contraction_table(s)
+                for row in rows:
+                    middle: dict[int, int] = {}
+                    for i, c in row.items():
+                        j = table[i]
+                        value = middle.get(j, 0) + c
+                        if value:
+                            middle[j] = value
+                        else:
+                            middle.pop(j, None)
+                    if middle:
+                        middles[m].append(middle)
+    # Middles of the lowest arity go first: of the orders tried, that one
+    # left the closure the least work.
+    for m, found in enumerate(middles):
+        if not found:
+            continue
+        for r in range(n - m + 1):
+            shift = unit_shift_table(r, m, n - m - r)
+            for middle in found:
+                vec = SparseVector(fact_n)
+                vec.entries = {shift[j]: c for j, c in middle.items()}
+                yield vec
+
+
+def _integer_row(theta: OperadElement) -> dict[Permutation, int]:
+    """theta's terms times the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for _, c in theta.items()))
+    return {p: c.numerator * (scale // c.denominator) for p, c in theta.items()}
 
 
 def ideal_slice_spanning(
@@ -290,11 +337,12 @@ def ideal_slice_spanning(
     cache_dir: str | Path | None = None,
     stats: dict | None = None,
 ) -> IdealSlice:
-    """Arity-n slice of the ideal generated by `gens`, by direct spanning."""
+    """Arity-n slice of the ideal generated by `gens`, by direct spanning.
+    Slices of arity above MAX_SLICE_ARITY are not cached."""
     if n < 0:
         raise ValueError("arity must be nonnegative")
     path = None
-    if cache_dir is not None:
+    if cache_dir is not None and n <= MAX_SLICE_ARITY:
         path = slice_cache_path(cache_dir, gens, n)
         if path.exists():
             try:
@@ -488,45 +536,68 @@ def _evaluation_rows(
     """The span of the distinct evaluation rows of nondecreasing tuples,
     and the rows that grew it.
 
-    A product depends only on the arrangement of the tuple's basis
-    indices, so each distinct arrangement is evaluated once, on its
-    lex-first word, and the row of an output coordinate is built only for
-    a new signature (the tuple's multiplicity pattern and the coefficient
-    of every arrangement).  Everything per pattern lives for one call.
+    When the unit is a basis vector b_u, a tuple's block of u's (start a,
+    length j; an all-unit tuple keeps one u) is stripped: the product of
+    a word equals the product of its core word, the word with the unit
+    letters deleted, so the row is the core tuple's row in S_{n-j}, read
+    through the slot-deletion map S_n -> S_{n-j}.  Without such a unit,
+    j = 0 and the core is the tuple.  A product depends only on the
+    arrangement of the core's basis indices, so each distinct arrangement
+    is evaluated once, on its lex-first word, and the row of an output
+    coordinate is built only for a new signature (the core's multiplicity
+    pattern, a, j and the coefficient of every arrangement).  Everything
+    per pattern lives for one call.
     """
     fact_n = math.factorial(n)
     columns = _table_columns(algebra)
-    # Per multiplicity pattern of a tuple: the evaluator on the lex-first
-    # word of each distinct arrangement, and the arrangement class of
-    # every permutation index.
+    # The index of the unit if it is a basis vector, else None.
+    unit_entries = algebra.unit.entries
+    unit = next(iter(unit_entries)) if list(unit_entries.values()) == [1] else None
+    # Per multiplicity pattern of a core: the evaluator on the lex-first
+    # word of each distinct arrangement, the arrangement class of every
+    # permutation index of the core's arity, and the class count.
     by_pattern: dict[tuple[int, ...], tuple] = {}
+    # Per (pattern, a, j) with j > 0: the core's class of every permutation
+    # index of S_n (with j = 0 the lift is the core's own classes).
+    lifts: dict[tuple, list[int]] = {}
     rows = RowBasis(fact_n)
     grown: list[dict[int, Fraction | int]] = []
     signatures: set[tuple] = set()
     seen: set[tuple] = set()
     for tup in tuples:
+        a = j = 0
+        if unit is not None:
+            a = bisect_left(tup, unit)
+            j = min(bisect_right(tup, unit, a) - a, n - 1)
+            if not j:
+                a = 0
+        core = tup[:a] + tup[a + j:]
         # Tuples are nondecreasing, so equal indices sit in blocks.
-        pattern = tuple(len(list(block)) for _, block in groupby(tup))
+        pattern = tuple(len(list(block)) for _, block in groupby(core))
         entry = by_pattern.get(pattern)
         if entry is None:
             reps, cls = arrangement_classes(pattern)
             entry = by_pattern[pattern] = (_word_evaluator(columns, reps), cls, len(reps))
         products, cls, classes = entry
+        lift = cls if not j else lifts.get((pattern, a, j))
+        if lift is None:
+            sizes = (1,) * a + (0,) * j + (1,) * (n - a - j)
+            lift = lifts[pattern, a, j] = [cls[i] for i in unit_contraction_table(sizes)]
         by_coord: dict[int, list[Fraction | int]] = {}
-        for k, vec in products(tup).items():
+        for k, vec in products(core).items():
             for coord, c in vec.items():
                 coefs = by_coord.get(coord)
                 if coefs is None:
                     coefs = by_coord[coord] = [0] * classes
                 coefs[k] = c
         for coefs in by_coord.values():
-            # The row is coefs[cls[si]] at si, so equal signatures give
+            # The row is coefs[lift[si]] at si, so equal signatures give
             # equal rows; distinct ones still may, hence the row check.
-            signature = (pattern, tuple(coefs))
+            signature = (pattern, a, j, tuple(coefs))
             if signature in signatures:
                 continue
             signatures.add(signature)
-            row = {si: c for si, c in enumerate(map(coefs.__getitem__, cls)) if c}
+            row = {si: c for si, c in enumerate(map(coefs.__getitem__, lift)) if c}
             key = tuple(row.items())
             if key in seen:
                 continue
@@ -720,7 +791,10 @@ def slice_cache_path(cache_dir: str | Path, gens: GeneratorSet, arity: int) -> P
 
 
 def save_slice_file(path: str | Path, slice_: IdealSlice, mode: str) -> None:
-    """Write the slice atomically in the cache format."""
+    """Write the slice atomically in the cache format, which holds
+    arities 0..MAX_SLICE_ARITY."""
+    if slice_.arity > MAX_SLICE_ARITY:
+        raise ValueError(f"arity {slice_.arity} above {MAX_SLICE_ARITY} cannot be saved")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -751,10 +825,10 @@ def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[Idea
     """Read a cached slice; the RREF invariants are re-established on load.
 
     Every defect of the file raises ValueError.  The header's arity is
-    checked before anything of size arity! is built: against `arity` when
-    the caller gives one, and against the length of the first row, which
-    must be arity!.  Without `arity`, a file with no rows is trusted for
-    its arity (the zero slice).
+    checked before arity! is computed or anything of that size is built:
+    it must lie in 0..MAX_SLICE_ARITY and equal `arity` when the caller
+    gives one.  Every row must then have arity! entries.  Without `arity`,
+    a file with no rows is trusted for its arity (the zero slice).
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -772,13 +846,10 @@ def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[Idea
         raise ValueError(f"{path}: malformed header") from exc
     if header.get("order") != "lex":
         raise ValueError(f"{path}: unsupported coordinate order")
-    if declared < 0:
-        raise ValueError(f"{path}: negative arity")
     if arity is not None and declared != arity:
         raise ValueError(f"{path}: arity {declared}, expected {arity}")
-    first = next((line.split() for line in lines[2:] if line.strip()), None)
-    if first is not None and not _factorial_is(declared, len(first)):
-        raise ValueError(f"{path}: row of length {len(first)} for arity {declared}")
+    if not 0 <= declared <= MAX_SLICE_ARITY:
+        raise ValueError(f"{path}: arity {declared} outside 0..{MAX_SLICE_ARITY}")
     width = math.factorial(declared)
     basis = RowBasis(width)
     for line in lines[2:]:
@@ -796,12 +867,3 @@ def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[Idea
         raise ValueError(f"{path}: declared dim {dim} but rank is {basis.rank}")
     return IdealSlice(declared, basis), mode
 
-
-def _factorial_is(n: int, value: int) -> bool:
-    """n! == value, without computing n! when it exceeds value."""
-    product = 1
-    for k in range(2, n + 1):
-        product *= k
-        if product > value:
-            return False
-    return product == value

@@ -5,12 +5,14 @@ mathematical definitions (words, substitution, dense Gaussian
 elimination) and shares no algorithmic code with the package.  The
 exceptions are the paths that fast paths of the package replaced:
 `spanning_core_vectors_reference`, the element-level spanning family that
-the index-table fast path in `oplab.ideals` replaced (it composes
-`OperadElement`s with `full_compose`); `FractionRowBasis`, the
-unit-pivot RREF on `Fraction` entries that the primitive-integer
-`oplab.RowBasis` replaced; `identities_slice_reference`, which
-evaluates every permutation on every tuple, where `oplab.identities_slice`
-evaluates one word per arrangement; and `saturate_under_action_reference`,
+the index-table fast path in `oplab.ideals` replaced (it composes every
+generator with every composition through `full_compose`, where the fast
+path takes one composition per S_k-orbit, applied to the generators'
+S_k-closed span); `FractionRowBasis`, the unit-pivot RREF on `Fraction`
+entries that the primitive-integer `oplab.RowBasis` replaced;
+`identities_slice_reference`, which evaluates every permutation on every
+tuple, where `oplab.identities_slice` evaluates one word per arrangement
+of each tuple's unit-free core; and `saturate_under_action_reference`,
 the last-in-first-out closure that translated echelon rows, which the
 sparse best-first closure in `oplab.ideals` replaced.  The module also
 holds two test algebras whose tables are not monomial.

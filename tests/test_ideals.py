@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oplab.ideals as ideals_module
@@ -43,6 +43,7 @@ from oplab import (
     matrix_algebra,
     membership,
     min_identity_degree,
+    multiply,
     operad_to_poly,
     parse_poly,
     poly_generated_slice,
@@ -173,18 +174,16 @@ def generator_sets(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(gens=generator_sets(), n=st.integers(0, 5))
 def test_spanning_core_vectors_match_reference(gens, n):
-    # The index-table spanning family against the element-level one it
-    # replaced: the same core vectors (as a multiset) and the same slice.
-    def key(vec):
-        return vec.dimension, sorted(vec.entries.items())
-
-    fast = ideals_module._spanning_core_vectors(gens, n)
-    reference = spanning_core_vectors_reference(gens, n)
-    assert sorted(map(key, fast)) == sorted(map(key, reference))
+    # The index-table spanning family, formed once per S_k-orbit of
+    # compositions from the S_k-closed span of the generators, against the
+    # element-level family of every generator and composition: every fast
+    # core vector lies in the reference slice, and the slices are equal.
     with mock.patch.object(
         ideals_module, "_spanning_core_vectors", spanning_core_vectors_reference
     ):
         expected = ideal_slice_spanning(gens, n)
+    for vec in ideals_module._spanning_core_vectors(gens, n):
+        assert expected.basis.contains(vec)
     assert ideal_slice_spanning(gens, n) == expected
 
 
@@ -233,6 +232,75 @@ def test_spanning_closure_matches_reference(gens, n):
     # the echelon rows.
     expected = reference_closure(spanning_core_vectors_reference(gens, n), n)
     assert ideal_slice_spanning(gens, n).basis == expected
+
+
+@st.composite
+def proper_submodule_generator_sets(draw):
+    # Generic generators span all of kS_k once closed, which would hide a
+    # spanning family that skips the S_k-closure or some compositions.
+    # For an involution sigma, (1 +- sigma)*r lies in a proper right ideal,
+    # so its S_k-closed span is more than its span and less than kS_k.
+    coefficients = st.integers(-2, 2).filter(bool)
+    elements = []
+    for arity in draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)):
+        perms = all_permutations(arity)
+        involutions = [p for p in perms[1:] if multiply(p, p) == perms[0]]
+        sigma = draw(st.sampled_from(involutions))
+        sign = Fraction(draw(st.sampled_from([1, -1])))
+        factor = OperadElement(arity, {perms[0]: Fraction(1), sigma: sign})
+        picked = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=4, unique=True))
+        element = OperadElement.zero(arity)
+        for p in picked:
+            element = element + draw(coefficients) * act(factor, p)
+        if not element.is_zero():
+            elements.append(element)
+    assume(elements)
+    return GeneratorSet(elements, draw(st.sampled_from([UNITAL, NONUNITAL])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gens=proper_submodule_generator_sets(), n=st.integers(2, 5))
+def test_spanning_matches_reference_on_proper_submodules(gens, n):
+    expected = reference_closure(spanning_core_vectors_reference(gens, n), n)
+    assert ideal_slice_spanning(gens, n).basis == expected
+
+
+def test_spanning_builds_no_closure_above_the_arity():
+    # A generator of arity k > n has no composition in nonunital mode and
+    # is contracted term by term in unital mode: neither a k!-wide closure
+    # nor a k!-long contraction table is built.
+    # x1x2x3[x4,x5]x6x7 survives only contractions that keep x4 and x5,
+    # none of which is monotone, so every ordered composition is needed.
+    rng = random.Random(7)
+    perms = all_permutations(7)
+    sparse = OperadElement(7, {p: Fraction(rng.choice([-2, -1, 1, 3])) for p in rng.sample(perms, 5)})
+    commutator = poly_to_operad(parse_poly("x1*x2*x3*x4*x5*x6*x7 - x1*x2*x3*x5*x4*x6*x7"))
+    real_actions = ideals_module._action_tables
+    real_contractions = ideals_module.unit_contraction_table
+    for theta, mode in product([sparse, commutator], [UNITAL, NONUNITAL]):
+        gens = GeneratorSet([theta], mode)
+        for n in range(7):
+
+            def actions(k):
+                assert k <= n, f"an S_{k}-closure at arity {n}"
+                return real_actions(k)
+
+            def contractions(sizes):
+                assert len(sizes) <= n, f"an S_{len(sizes)} contraction table at arity {n}"
+                return real_contractions(sizes)
+
+            with mock.patch.object(
+                ideals_module, "_action_tables", side_effect=actions
+            ), mock.patch.object(
+                ideals_module, "unit_contraction_table", side_effect=contractions
+            ):
+                slice_ = ideal_slice_spanning(gens, n)
+            if mode == NONUNITAL:
+                assert slice_ == IdealSlice.zero(n)
+            elif n <= 4:
+                assert slice_.basis == reference_closure(spanning_core_vectors_reference(gens, n), n)
+        if mode == UNITAL and theta is commutator:
+            assert slice_.dim > 0
 
 
 @st.composite
@@ -446,6 +514,33 @@ def rebased(algebra, matrix):
     return StructureAlgebra(labels, table, new_coords(algebra.unit.to_dense()))
 
 
+def reindexed(algebra, unit_at):
+    """The same algebra with its basis reordered so that the unit, basis
+    vector 0, sits at index `unit_at`."""
+    order = list(range(1, algebra.dim))
+    order.insert(unit_at, 0)
+    matrix = [[Fraction(int(j == k)) for j in range(algebra.dim)] for k in order]
+    return rebased(algebra, matrix)
+
+
+@pytest.mark.parametrize(
+    "build, unit_at",
+    [
+        (lambda: grassmann_algebra(3), 3),
+        (lambda: grassmann_algebra(3), 7),
+        (lambda: algebra_from_spec(DUAL_SHIFTED), 1),
+    ],
+    ids=["E_3 unit in the middle", "E_3 unit last", "dual shifted unit last"],
+)
+def test_identities_slice_matches_reference_with_unit_anywhere(build, unit_at):
+    # The block of unit indices is stripped wherever it sits in a tuple,
+    # not only at its start (Grassmann's unit is basis vector 0).
+    algebra = reindexed(build(), unit_at)
+    assert algebra.unit.entries == {unit_at: 1}
+    for n in range(1, 6):
+        assert_matches_reference(algebra, n)
+
+
 @st.composite
 def rebased_algebras(draw):
     # A random triangular change of basis with invertible diagonal turns
@@ -517,6 +612,32 @@ def test_grassmann_budget_charges_exact_tuple_count():
     with pytest.raises(BudgetExceeded) as refused:
         identities_slice(e6, 5, budget=875)
     assert refused.value.needed == 876
+
+
+def test_grassmann_evaluation_walks_unit_free_cores():
+    # Words walked by the evaluation kernel for E_6, summed over its calls:
+    # one per arrangement of each tuple's unit-free core.  Walking every
+    # arrangement of the whole tuple would take 46,656 at n = 5 and
+    # 117,649 at n = 6.
+    walked = 0
+    evaluator = ideals_module._word_evaluator
+
+    def counting(columns, words):
+        products = evaluator(columns, words)
+
+        def walk(tup):
+            nonlocal walked
+            walked += len(words)
+            return products(tup)
+
+        return walk
+
+    e6 = grassmann_algebra(6)
+    with mock.patch.object(ideals_module, "_word_evaluator", counting):
+        for n, words, codim in ((5, 8_646, 16), (6, 9_366, 32)):
+            walked = 0
+            assert codimension(e6, n) == codim
+            assert walked == words
 
 
 def test_codimension_examples():
@@ -856,8 +977,8 @@ def test_save_load_rejects_corruption(tmp_path):
 
 
 def test_loader_checks_arity_before_allocating(tmp_path):
-    # a header arity that the caller does not expect, or that the first
-    # row's length contradicts, is refused before arity! is computed
+    # a header arity that the caller does not expect, or that is over the
+    # cap, is refused before arity! is computed
     path = tmp_path / "slice.opideal"
     path.write_text("OPIDEAL v1\narity=300000 dim=0 order=lex mode=unital\n\n")
     with mock.patch.object(ideals_module.math, "factorial", side_effect=AssertionError):
@@ -866,6 +987,16 @@ def test_loader_checks_arity_before_allocating(tmp_path):
         path.write_text("OPIDEAL v1\narity=300000 dim=1 order=lex mode=unital\n1 -1\n")
         with pytest.raises(ValueError):
             load_slice_file(path)
+        # a file without rows is refused for an arity over the cap
+        path.write_text("OPIDEAL v1\narity=300000 dim=0 order=lex mode=unital\n\n")
+        with pytest.raises(ValueError, match="outside"):
+            load_slice_file(path)
+    cap = ideals_module.MAX_SLICE_ARITY
+    path.write_text(f"OPIDEAL v1\narity={cap + 1} dim=0 order=lex mode=unital\n")
+    with pytest.raises(ValueError, match="outside"):
+        load_slice_file(path)
+    path.write_text(f"OPIDEAL v1\narity={cap} dim=0 order=lex mode=unital\n")
+    assert load_slice_file(path)[0] == IdealSlice.zero(cap)
     path.write_text("OPIDEAL v1\narity=-1 dim=0 order=lex mode=unital\n")
     with pytest.raises(ValueError):
         load_slice_file(path)
@@ -877,6 +1008,20 @@ def test_loader_checks_arity_before_allocating(tmp_path):
     assert ideal_slice_spanning(gens, 3, cache_dir=tmp_path, stats=stats).dim == 5
     assert stats["cache_hit"] is False
     assert load_slice_file(entry, arity=3)[0].dim == 5
+
+
+def test_slices_above_the_cap_are_not_cached(tmp_path):
+    # the cache format holds arities up to MAX_SLICE_ARITY, so a larger
+    # slice is neither saved nor looked up
+    cap = ideals_module.MAX_SLICE_ARITY
+    gens = GeneratorSet([])
+    # a zero slice builds no action tables, at any arity
+    with mock.patch.object(ideals_module, "_action_tables", side_effect=AssertionError):
+        assert ideal_slice_spanning(gens, cap + 1, cache_dir=tmp_path) == IdealSlice.zero(cap + 1)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="cannot be saved"):
+        save_slice_file(tmp_path / "slice.opideal", IdealSlice.zero(cap + 1), gens.mode)
+    assert list(tmp_path.iterdir()) == []
 
 
 @given(
