@@ -311,40 +311,71 @@ def tensor_product(left: StructureAlgebra, right: StructureAlgebra) -> Structure
     return StructureAlgebra(labels, table, unit, name=f"{left.name}(x){right.name}")
 
 
+def _field(spec: Mapping, key: str, kind: type | tuple[type, ...]):
+    """spec[key], which must be present and of the JSON type `kind`; a bool
+    is never accepted as a number."""
+    if not isinstance(spec, Mapping) or key not in spec:
+        raise AlgebraError(f"algebra spec needs a {key!r} field")
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise AlgebraError(f"algebra spec field {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _size(spec: Mapping, key: str) -> int:
+    value = _field(spec, key, (int, float))
+    if isinstance(value, float) and not value.is_integer():
+        raise AlgebraError(f"algebra spec field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+_ARRAY = (list, tuple)
+
+
+def _spec_vector(raw, dim: int, what: str) -> SparseVector:
+    """A vector of `dim` rationals, each an int, a Fraction or a "p/q" string."""
+    if not isinstance(raw, _ARRAY) or len(raw) != dim:
+        raise AlgebraError(f"custom {what} has the wrong length")
+    values = []
+    for value in raw:
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a bool is not a rational")
+            values.append(as_fraction(value))
+        except (TypeError, ValueError) as exc:
+            raise AlgebraError(f"custom {what} holds {value!r}, not a rational") from exc
+    return SparseVector.from_dense(values)
+
+
 def algebra_from_spec(spec: Mapping) -> StructureAlgebra:
     """Build an algebra from its JSON description.
 
     Supported forms: {"type":"matrix","k":2}, {"type":"grassmann",
     "generators":4}, {"type":"custom","basis":[...],"unit":[...],
-    "table":[[[...]]]} with rationals as numbers or "p/q" strings, and
-    {"type":"direct_sum","parts":[...]} with nested descriptions.
+    "table":[[[...]]]} with rationals as integers or "p/q" strings, and
+    {"type":"direct_sum","parts":[...]} with nested descriptions.  A missing
+    field, a field of the wrong JSON type or a size that is not an integer
+    raises AlgebraError.
     """
-    try:
-        kind = spec["type"]
-    except (TypeError, KeyError) as exc:
-        raise AlgebraError("algebra spec needs a 'type' field") from exc
+    kind = _field(spec, "type", str)
     if kind == "matrix":
-        return matrix_algebra(int(spec["k"]))
+        return matrix_algebra(_size(spec, "k"))
     if kind == "grassmann":
-        return grassmann_algebra(int(spec["generators"]))
+        return grassmann_algebra(_size(spec, "generators"))
     if kind == "direct_sum":
-        return direct_sum([algebra_from_spec(part) for part in spec["parts"]])
+        return direct_sum([algebra_from_spec(part) for part in _field(spec, "parts", _ARRAY)])
     if kind == "custom":
-        labels = [str(s) for s in spec["basis"]]
+        labels = [str(s) for s in _field(spec, "basis", _ARRAY)]
         dim = len(labels)
-        raw_table = spec["table"]
+        raw_table = _field(spec, "table", _ARRAY)
         if len(raw_table) != dim:
             raise AlgebraError("custom table has the wrong number of rows")
         table = []
         for row in raw_table:
-            if len(row) != dim:
+            if not isinstance(row, _ARRAY) or len(row) != dim:
                 raise AlgebraError("custom table has a malformed row")
-            table.append([SparseVector.from_dense([as_fraction(v) for v in vec]) for vec in row])
-        for row in table:
-            for vec in row:
-                if vec.dimension != dim:
-                    raise AlgebraError("custom table entry has the wrong length")
-        unit = SparseVector.from_dense([as_fraction(v) for v in spec["unit"]])
+            table.append([_spec_vector(vec, dim, "table entry") for vec in row])
+        unit = _spec_vector(_field(spec, "unit", _ARRAY), dim, "unit")
         return StructureAlgebra(labels, table, unit, name="custom")
     raise AlgebraError(f"unknown algebra type {kind!r}")
 

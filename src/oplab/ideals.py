@@ -25,13 +25,12 @@ sampled.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
+import re
 import tempfile
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -41,7 +40,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebras import StructureAlgebra, _table_columns, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
-from .linalg import RowBasis, SparseVector, format_rational, parse_rational
+from .linalg import RowBasis, SparseVector, parse_number
 from .operad import (
     OperadElement,
     act,
@@ -654,11 +653,14 @@ def slice_polynomials(slice_: IdealSlice) -> list[NcPoly]:
     return [operad_to_poly(theta) for theta in slice_.elements()]
 
 
-@dataclass
 class ClosureReport:
-    ok: bool
-    checked: int
-    failure: str | None = None
+    def __init__(self, ok: bool, checked: int, failure: str | None = None) -> None:
+        self.ok = ok
+        self.checked = checked
+        self.failure = failure
+
+    def __repr__(self) -> str:
+        return f"ClosureReport(ok={self.ok!r}, checked={self.checked!r}, failure={self.failure!r})"
 
 
 def verify_ideal_closure(
@@ -731,9 +733,12 @@ def verify_ideal_closure(
     return ClosureReport(True, checked)
 
 
-@dataclass
 class RoundtripReport:
-    per_arity: dict[int, bool] = field(default_factory=dict)
+    def __init__(self, per_arity: dict[int, bool] | None = None) -> None:
+        self.per_arity = {} if per_arity is None else per_arity
+
+    def __repr__(self) -> str:
+        return f"RoundtripReport(per_arity={self.per_arity!r})"
 
     @property
     def ok(self) -> bool:
@@ -783,6 +788,8 @@ def generator_set_hash(gens: GeneratorSet) -> str:
     """Content hash of the sorted canonical generator texts: the full
     sha256 hex digest, the only link between a cache file and its
     generator set."""
+    import hashlib  # only naming an entry needs it; the CLI starts without it
+
     return hashlib.sha256(gens.canonical_text().encode("utf-8")).hexdigest()
 
 
@@ -797,23 +804,25 @@ def save_slice_file(path: str | Path, slice_: IdealSlice, mode: str) -> None:
         raise ValueError(f"arity {slice_.arity} above {MAX_SLICE_ARITY} cannot be saved")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        CACHE_MAGIC,
-        f"arity={slice_.arity} dim={slice_.dim} order=lex mode={mode}",
-    ]
     width = slice_.basis.dimension
-    for row in slice_.basis.row_dicts():
-        # The RREF row is the primitive row over its pivot entry.
-        pivot = row[min(row)]
-        tokens = ["0"] * width
-        for c, x in row.items():
-            tokens[c] = format_rational(Fraction(x, pivot))
-        lines.append(" ".join(tokens))
-    payload = "\n".join(lines) + "\n"
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
+            handle.write(
+                f"{CACHE_MAGIC}\narity={slice_.arity} dim={slice_.dim} order=lex mode={mode}\n"
+            )
+            for row in slice_.basis.row_dicts():
+                # The RREF row is the primitive row over its pivot entry,
+                # each entry x/pivot written in lowest terms as "p" or "p/q".
+                pivot = row[min(row)]
+                tokens = ["0"] * width
+                for c, x in row.items():
+                    if x % pivot:
+                        g = math.gcd(x, pivot)
+                        tokens[c] = f"{x // g}/{pivot // g}"
+                    else:
+                        tokens[c] = str(x // pivot)
+                handle.write(" ".join(tokens) + "\n")
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -821,14 +830,49 @@ def save_slice_file(path: str | Path, slice_: IdealSlice, mode: str) -> None:
         raise
 
 
-def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[IdealSlice, str]:
-    """Read a cached slice; the RREF invariants are re-established on load.
+_NOT_ZERO_OR_SPACE = re.compile(r"[^0 ]")
 
-    Every defect of the file raises ValueError.  The header's arity is
-    checked before arity! is computed or anything of that size is built:
-    it must lie in 0..MAX_SLICE_ARITY and equal `arity` when the caller
-    gives one.  Every row must then have arity! entries.  Without `arity`,
-    a file with no rows is trusted for its arity (the zero slice).
+
+def _row_entries(line: str, width: int) -> dict[int, int | Fraction]:
+    """The nonzero entries of a row of `width` whitespace-separated tokens.
+
+    Rows are mostly "0", so the line is searched for the characters of
+    the other tokens, and only those tokens are parsed; a token of zeros
+    alone is the number 0.
+    """
+    if line.count(" ") != width - 1 or "  " in line or line[0] == " " or line[-1] == " ":
+        line = " ".join(line.split())
+        if line.count(" ") != width - 1:
+            raise ValueError(f"row of length {len(line.split())}, expected {width}")
+    row = {}
+    column = start = 0
+    search = _NOT_ZERO_OR_SPACE.search
+    found = search(line)
+    while found:
+        begin = line.rfind(" ", 0, found.start()) + 1
+        end = line.find(" ", begin)
+        if end < 0:
+            end = len(line)
+        column += line.count(" ", start, begin)
+        start = begin
+        value = parse_number(line[begin:end])
+        if value:
+            row[column] = value
+        found = search(line, end)
+    return row
+
+
+def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[IdealSlice, str]:
+    """Read a cached slice; its rows are checked to be canonical RREF and
+    adopted as the basis, without elimination.
+
+    Every defect of the file raises ValueError, rows that are not canonical
+    RREF (out of order, not reduced, a pivot entry other than 1) included.
+    The header's arity is checked before arity! is computed or anything of
+    that size is built: it must lie in 0..MAX_SLICE_ARITY and equal `arity`
+    when the caller gives one.  Every row must then have arity! entries.
+    Without `arity`, a file with no rows is trusted for its arity (the zero
+    slice).
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -851,18 +895,11 @@ def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[Idea
     if not 0 <= declared <= MAX_SLICE_ARITY:
         raise ValueError(f"{path}: arity {declared} outside 0..{MAX_SLICE_ARITY}")
     width = math.factorial(declared)
-    basis = RowBasis(width)
-    for line in lines[2:]:
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != width:
-            raise ValueError(f"{path}: row of length {len(tokens)}, expected {width}")
-        # Rows are mostly "0"; only the other tokens are parsed.
-        parsed = [(i, parse_rational(v)) for i, v in enumerate(tokens) if v != "0"]
-        row = SparseVector(width)
-        row.entries = {i: v for i, v in parsed if v}
-        basis.insert(row)
+    try:
+        rows = [_row_entries(line, width) for line in lines[2:] if line.strip()]
+        basis = RowBasis.from_rref(width, rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if basis.rank != dim:
         raise ValueError(f"{path}: declared dim {dim} but rank is {basis.rank}")
     return IdealSlice(declared, basis), mode

@@ -24,6 +24,7 @@ __all__ = [
     "as_fraction",
     "format_rational",
     "kernel_basis",
+    "parse_number",
     "parse_rational",
 ]
 
@@ -53,14 +54,19 @@ def parse_rational(text: str) -> Fraction:
     """Parse the serialized form "p" or "p/q" (q > 0).  Other forms that
     ``Fraction`` reads, such as "1e9999999" (seconds to expand), are
     rejected."""
+    return Fraction(parse_number(text))
+
+
+def parse_number(text: str) -> int | Fraction:
+    """Parse "p" or "p/q" (q > 0) as :func:`parse_rational` does, but give
+    the integral form "p" as an int."""
     text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"invalid rational literal {text!r}")
     try:
-        value = Fraction(text)
+        return int(text) if "/" not in text else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
-    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -174,7 +180,8 @@ class RowBasis:
     row-echelon form: it is a canonical representative of the subspace,
     and :meth:`rows` returns exactly the RREF rows.  Input vectors may
     hold ``Fraction`` or int entries; their denominators are cleared once
-    per vector.  Mutation happens only via :meth:`insert`.
+    per vector, or the RREF rows are adopted whole (:meth:`from_rref`).
+    Mutation happens only via :meth:`insert`.
     """
 
     __slots__ = ("dimension", "_rows")
@@ -208,6 +215,40 @@ class RowBasis:
         """Snapshot copies of the primitive integer rows, canonical order;
         each spans the same line as the RREF row with the same pivot."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
+
+    @classmethod
+    def from_rref(
+        cls, dimension: int, rows: Iterable[Mapping[int, Fraction | int]]
+    ) -> "RowBasis":
+        """The basis whose RREF rows are `rows`, adopted without elimination.
+
+        The rows must already be canonical RREF, in canonical order: each
+        row nonempty, with nonzero entries in columns 0..dimension-1, pivot
+        columns strictly increasing, each pivot entry 1, and no row nonzero
+        in another row's pivot column.  Raises ValueError otherwise.
+        """
+        basis = cls(dimension)
+        stored = basis._rows
+        last = -1
+        for row in rows:
+            if not row:
+                raise ValueError("RREF row is empty")
+            pivot = min(row)
+            if pivot <= last:
+                raise ValueError(f"pivot {pivot} does not follow pivot {last}")
+            if max(row) >= dimension:
+                raise DimensionMismatch(f"row index out of range for dimension {dimension}")
+            if row[pivot] != 1:
+                raise ValueError(f"pivot entry {row[pivot]} in column {pivot} is not 1")
+            if not all(row.values()):
+                raise ValueError("RREF row stores a zero entry")
+            # Over a unit pivot, clearing denominators gives the primitive row.
+            stored[pivot] = _integral(row)
+            last = pivot
+        for pivot, row in stored.items():
+            if any(c in stored for c in row if c != pivot):
+                raise ValueError(f"row {pivot} is not reduced against the other pivots")
+        return basis
 
     def _check(self, vec: SparseVector) -> None:
         if vec.dimension != self.dimension:

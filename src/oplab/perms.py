@@ -10,7 +10,6 @@ order used everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from typing import Sequence
@@ -36,15 +35,34 @@ class ArityMismatch(ValueError):
     """Raised when permutations of different arities are combined."""
 
 
-@dataclass(frozen=True)
 class Permutation:
-    seq: tuple[int, ...]
+    """An immutable permutation, equal to another exactly when their
+    sequences are equal."""
 
-    def __post_init__(self) -> None:
-        seq = tuple(self.seq)
-        object.__setattr__(self, "seq", seq)
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: Sequence[int]) -> None:
+        seq = tuple(seq)
         if sorted(seq) != list(range(1, len(seq) + 1)):
             raise ValueError(f"{seq!r} is not a permutation sequence of 1..{len(seq)}")
+        object.__setattr__(self, "seq", seq)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Permutation, (self.seq,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Permutation:
+            return NotImplemented
+        return self.seq == other.seq
+
+    def __hash__(self) -> int:
+        return hash((self.seq,))
 
     @property
     def arity(self) -> int:

@@ -1,13 +1,18 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplab import (
     AlgebraError,
     OperadElement,
     Permutation,
     SparseVector,
+    StructureAlgebra,
     all_permutations,
     algebra_from_spec,
     direct_sum,
@@ -142,6 +147,95 @@ def test_algebra_from_spec_round_trip():
         algebra_from_spec(
             {"type": "custom", "basis": ["1"], "unit": [1], "table": [[[1], [1]]]}
         )
+
+
+def test_algebra_from_spec_rejects_malformed_fields():
+    for spec in (
+        {"type": "custom"},
+        {"type": "matrix"},
+        {"type": "custom", "basis": ["1"], "unit": [None], "table": [[[1]]]},
+        {"type": "custom", "basis": ["1"], "unit": [1], "table": [[1]]},
+        {"type": "custom", "basis": ["1"], "unit": [True], "table": [[[1]]]},
+        {"type": "custom", "basis": ["1"], "unit": [0.5], "table": [[[1]]]},
+        {"type": "matrix", "k": 2.5},
+        {"type": "matrix", "k": True},
+        {"type": "matrix", "k": "2"},
+        {"type": "matrix", "k": math.inf},
+        {"type": "grassmann", "generators": None},
+        {"type": "direct_sum", "parts": 3},
+        {"type": 3},
+        [],
+    ):
+        with pytest.raises(AlgebraError):
+            algebra_from_spec(spec)
+    assert algebra_from_spec({"type": "matrix", "k": 2.0}) is matrix_algebra(2)
+
+
+VALID_SPECS = [
+    *({"type": "matrix", "k": k} for k in (1, 2, 3)),
+    *({"type": "grassmann", "generators": g} for g in (0, 1, 2, 3)),
+    {"type": "custom", "basis": ["1"], "unit": [1], "table": [[[1]]]},
+    DUAL_SHIFTED,
+    {"type": "direct_sum", "parts": [{"type": "matrix", "k": 1}, {"type": "grassmann", "generators": 1}]},
+]
+SPEC_KEYS = st.sampled_from(["type", "k", "generators", "parts", "basis", "unit", "table"]) | st.text(max_size=2)
+# JSON values whose numbers stay at most 3, so that every algebra built is small
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-3, 3)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.sampled_from(["matrix", "grassmann", "custom", "direct_sum", "1/2", "-1", "1/0", "x"])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(SPEC_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def algebra_specs(draw):
+    """A random JSON value, or a valid spec with a few entries deleted,
+    replaced or added anywhere in it."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    spec = json.loads(json.dumps(draw(st.sampled_from(VALID_SPECS))))
+    for _ in range(draw(st.integers(1, 3))):
+        containers = []
+
+        def walk(node):
+            if isinstance(node, (dict, list)):
+                containers.append(node)
+                for child in node.values() if isinstance(node, dict) else node:
+                    walk(child)
+
+        walk(spec)
+        node = draw(st.sampled_from(containers))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["delete", "replace", "add"]))
+        if keys and action != "add":
+            key = draw(st.sampled_from(keys))
+            if action == "delete":
+                del node[key]
+            else:
+                node[key] = draw(json_values)
+        elif isinstance(node, dict):
+            node[draw(SPEC_KEYS)] = draw(json_values)
+        else:
+            node.append(draw(json_values))
+    return spec
+
+
+@given(algebra_specs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_algebra_from_spec_fuzz(spec):
+    # a spec either builds an algebra or is refused with AlgebraError,
+    # which the CLI reports as a structured error
+    try:
+        algebra = algebra_from_spec(spec)
+    except AlgebraError:
+        return
+    assert isinstance(algebra, StructureAlgebra)
 
 
 def test_direct_sum_identity_implication():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oplab.cli import main
 
 
@@ -403,3 +405,37 @@ def test_timing_goes_to_stderr_not_stdout(capsys):
     _, out, err = run_cli(capsys, "phi", "--element", "1*(1,2)")
     assert "elapsed_ms" in err
     assert "elapsed_ms" not in out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"type":"custom"}',
+        '{"type":"matrix"}',
+        '{"type":"custom","basis":["1"],"unit":[null],"table":[[[1]]]}',
+        '{"type":"custom","basis":["1"],"unit":[1],"table":[[1]]}',
+        '{"type":"matrix","k":2.5}',
+        '{"type":"matrix","k":true}',
+        '{"type":"direct_sum","parts":3}',
+        "[]",
+    ],
+)
+def test_malformed_algebra_spec_is_a_structured_error(capsys, spec):
+    code, payload = run_json(capsys, "codim", "--algebra", spec, "--n", "2")
+    assert code == 1
+    assert payload["error"]["type"] == "AlgebraError"
+    assert payload["error"]["message"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_hashlib():
+    # startup cost: the CLI needs neither, and hashlib is imported only to
+    # name a cache entry
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, oplab.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

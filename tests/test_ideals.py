@@ -30,6 +30,7 @@ from oplab import (
     all_permutations,
     codimension,
     direct_sum,
+    format_rational,
     full_compose,
     full_slice_map,
     generator_set_hash,
@@ -924,6 +925,119 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, garbage):
     stats = {}
     assert ideal_slice_spanning(gens, 3, cache_dir=tmp_path, stats=stats) == slice_
     assert stats["cache_hit"] is True
+
+
+def test_loader_refuses_rows_not_in_canonical_rref(tmp_path):
+    # rows that span the right space but are not canonical RREF are not
+    # adopted: the loader refuses them, and the cache treats the entry as
+    # a miss and rewrites it with the canonical bytes
+    gens = commutator_gens()
+    canonical = tmp_path / "canonical.opideal"
+    save_slice_file(canonical, ideal_slice_spanning(gens, 3), gens.mode)
+    good = canonical.read_text()
+    head, rows = good.splitlines()[:2], good.splitlines()[2:]
+    assert rows[:2] == ["1 0 0 0 0 -1", "0 1 0 0 0 -1"]
+    variants = {
+        "swapped": [rows[1], rows[0]] + rows[2:],
+        "not reduced": ["1 1 0 0 0 -2"] + rows[1:],
+        "pivot entry 2": ["2 0 0 0 0 -2"] + rows[1:],
+    }
+    entry = slice_cache_path(tmp_path / "cache", gens, 3)
+    entry.parent.mkdir()
+    for name, variant in variants.items():
+        entry.write_text("\n".join(head + variant) + "\n")
+        with pytest.raises(ValueError):
+            load_slice_file(entry, arity=3)
+        stats: dict = {}
+        assert ideal_slice_spanning(gens, 3, cache_dir=entry.parent, stats=stats).dim == 5
+        assert stats["cache_hit"] is False, name
+        assert entry.read_bytes() == canonical.read_bytes(), name
+        stats = {}
+        ideal_slice_spanning(gens, 3, cache_dir=entry.parent, stats=stats)
+        assert stats["cache_hit"] is True, name
+
+
+def _left_multiply(x, e):
+    terms: dict = {}
+    for p, a in x.terms.items():
+        for q, b in e.terms.items():
+            r = multiply(p, q)
+            terms[r] = terms.get(r, 0) + a * b
+    return OperadElement(e.arity, {r: c for r, c in terms.items() if c})
+
+
+@st.composite
+def fractional_slices(draw):
+    # Generic generators span all of kS_n, whose RREF rows are unit
+    # vectors.  x*(1 +- s)(1 +- t) generates a right ideal inside one
+    # isotypic block, which x moves around; its RREF rows, and those of
+    # the bare span of a few generators, hold entries p/q.
+    n = draw(st.integers(2, 4))
+    perms = all_permutations(n)
+    involutions = [p for p in perms[1:] if multiply(p, p) == perms[0]]
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    elements = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = OperadElement(n, {perms[0]: Fraction(1)})
+        for _ in range(draw(st.integers(0, 2))):
+            sigma = draw(st.sampled_from(involutions))
+            sign = Fraction(draw(st.sampled_from([1, -1])))
+            e = _left_multiply(e, OperadElement(n, {perms[0]: Fraction(1), sigma: sign}))
+        picked = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=4, unique=True))
+        element = _left_multiply(OperadElement(n, {p: draw(coefficients) for p in picked}), e)
+        if not element.is_zero():
+            elements.append(element)
+    assume(elements)
+    span = RowBasis(math.factorial(n))
+    for element in elements:
+        span.insert(to_vector(element))
+    gens = GeneratorSet(elements, draw(st.sampled_from([UNITAL, NONUNITAL])))
+    return gens, [ideal_slice_spanning(gens, n), IdealSlice(n, span)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=fractional_slices())
+def test_slice_writer_matches_fraction_formatting(tmp_path_factory, case):
+    gens, slices = case
+    path = tmp_path_factory.mktemp("writer") / "slice.opideal"
+    for slice_ in slices:
+        lines = [
+            ideals_module.CACHE_MAGIC,
+            f"arity={slice_.arity} dim={slice_.dim} order=lex mode={gens.mode}",
+        ]
+        for row in slice_.basis.row_dicts():
+            pivot = row[min(row)]
+            tokens = ["0"] * slice_.basis.dimension
+            for c, x in row.items():
+                tokens[c] = format_rational(Fraction(x, pivot))
+            lines.append(" ".join(tokens))
+        expected = ("\n".join(lines) + "\n").encode()
+        save_slice_file(path, slice_, gens.mode)
+        assert path.read_bytes() == expected
+        assert load_slice_file(path) == (slice_, gens.mode)
+        save_slice_file(path, load_slice_file(path)[0], gens.mode)
+        assert path.read_bytes() == expected
+
+
+def test_slice_writer_cases_hold_fractions():
+    # the writer test above reaches the "p/q" form with negative numerators
+    # and with a gcd of entry and pivot above 1, not only unit RREF rows
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=fractional_slices())
+    def collect(case):
+        for slice_ in case[1]:
+            for row in slice_.basis.row_dicts():
+                pivot = row[min(row)]
+                for x in row.values():
+                    if x % pivot:
+                        seen.add("negative" if x < 0 else "positive")
+                        if math.gcd(x, pivot) > 1:
+                            seen.add("reduced")
+
+    collect()
+    assert seen == {"negative", "positive", "reduced"}
 
 
 def test_slice_cache_hash_distinguishes_generators():

@@ -253,3 +253,33 @@ def test_row_basis_matches_fraction_oracle(case):
     for i in order:
         reordered.insert(stream[i])
     assert reordered == mine
+
+
+@given(vector_streams())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_from_rref_adopts_exactly_the_eliminated_basis(case):
+    # the RREF rows of a basis built by insert are adopted as that basis,
+    # with integral entries given as ints or as Fractions; rows out of
+    # order, not reduced, out of range, with a pivot entry other than 1 or
+    # empty are not
+    dim, stream, _, _ = case
+    basis = RowBasis(dim)
+    for v in stream:
+        basis.insert(v)
+    rows = [row.entries for row in basis.rows()]
+    assert RowBasis.from_rref(dim, rows) == basis
+    as_ints = [{c: int(x) if x.denominator == 1 else x for c, x in r.items()} for r in rows]
+    assert RowBasis.from_rref(dim, as_ints) == basis
+    defects = [rows + [{}]]
+    if rows:
+        defects.append([{c: 2 * x for c, x in rows[0].items()}] + rows[1:])
+        defects.append([rows[0] | {dim: 1}] + rows[1:])
+    if len(rows) >= 2:
+        defects.append([rows[1], rows[0]] + rows[2:])
+        combined = dict(rows[0])
+        for c, x in rows[1].items():
+            combined[c] = combined.get(c, 0) + x
+        defects.append([combined] + rows[1:])
+    for defect in defects:
+        with pytest.raises(ValueError):
+            RowBasis.from_rref(dim, defect)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import product
 
@@ -30,6 +32,26 @@ def test_sequence_validation():
     with pytest.raises(ValueError):
         Permutation((2, 3))
     assert Permutation(()).arity == 0
+
+
+def test_permutation_value_semantics():
+    p = Permutation([2, 1, 3])
+    assert p.seq == (2, 1, 3)
+    assert repr(p) == "Permutation((2, 1, 3))"
+    # equal and hashed by sequence, and only to another Permutation
+    assert p == Permutation((2, 1, 3)) and p != Permutation((1, 2, 3))
+    assert p != (2, 1, 3) and (2, 1, 3) != p
+    assert hash(p) == hash(((2, 1, 3),))
+    assert len({p, Permutation((2, 1, 3)), identity(3)}) == 2
+    # immutable
+    with pytest.raises(AttributeError):
+        p.seq = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        p.other = 1
+    with pytest.raises(AttributeError):
+        del p.seq
+    assert p.seq == (2, 1, 3)
+    assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
 
 
 def test_identity_and_multiply():
