@@ -36,6 +36,11 @@ __all__ = [
     "tensor_product",
 ]
 
+# The default cap on exhaustive work: the tuples an identity computation
+# enumerates, and the dim^3 associativity checks of an algebra built from
+# a spec.
+DEFAULT_BUDGET = 10**7
+
 
 class AlgebraError(ValueError):
     """Raised for malformed structure constants or mismatched operands."""
@@ -347,6 +352,16 @@ def _spec_vector(raw, dim: int, what: str) -> SparseVector:
     return SparseVector.from_dense(values)
 
 
+def _check_build_cost(dim: int, shown: str) -> None:
+    """Refuse an algebra whose construction runs more than DEFAULT_BUDGET
+    associativity checks, one per basis triple; `shown` writes dim."""
+    if dim**3 > DEFAULT_BUDGET:
+        raise AlgebraError(
+            f"an algebra of dimension {shown} is too large to build: its dimension^3 "
+            f"associativity checks exceed the budget of {DEFAULT_BUDGET}"
+        )
+
+
 def algebra_from_spec(spec: Mapping) -> StructureAlgebra:
     """Build an algebra from its JSON description.
 
@@ -355,18 +370,30 @@ def algebra_from_spec(spec: Mapping) -> StructureAlgebra:
     "table":[[[...]]]} with rationals as integers or "p/q" strings, and
     {"type":"direct_sum","parts":[...]} with nested descriptions.  A missing
     field, a field of the wrong JSON type or a size that is not an integer
-    raises AlgebraError.
+    raises AlgebraError, and so does an algebra whose dim^3 associativity
+    checks exceed DEFAULT_BUDGET, before any table is built.
     """
     kind = _field(spec, "type", str)
     if kind == "matrix":
-        return matrix_algebra(_size(spec, "k"))
+        k = _size(spec, "k")
+        _check_build_cost(max(k, 0) ** 2, f"{k}^2")
+        return matrix_algebra(k)
     if kind == "grassmann":
-        return grassmann_algebra(_size(spec, "generators"))
+        generators = _size(spec, "generators")
+        # generators may be 10^300: 2^generators is never formed, and past
+        # the budget's bit length the cap changes no verdict.
+        capped = min(generators, DEFAULT_BUDGET.bit_length())
+        _check_build_cost(2**capped, f"2^{generators}")
+        return grassmann_algebra(generators)
     if kind == "direct_sum":
-        return direct_sum([algebra_from_spec(part) for part in _field(spec, "parts", _ARRAY)])
+        parts = [algebra_from_spec(part) for part in _field(spec, "parts", _ARRAY)]
+        dim = sum(part.dim for part in parts)
+        _check_build_cost(dim, str(dim))
+        return direct_sum(parts)
     if kind == "custom":
         labels = [str(s) for s in _field(spec, "basis", _ARRAY)]
         dim = len(labels)
+        _check_build_cost(dim, str(dim))
         raw_table = _field(spec, "table", _ARRAY)
         if len(raw_table) != dim:
             raise AlgebraError("custom table has the wrong number of rows")

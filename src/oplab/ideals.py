@@ -38,9 +38,9 @@ from itertools import combinations_with_replacement, count, groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebras import StructureAlgebra, _table_columns, _word_evaluator
+from .algebras import DEFAULT_BUDGET, StructureAlgebra, _table_columns, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
-from .linalg import RowBasis, SparseVector, parse_number
+from .linalg import RowBasis, _integral, parse_number
 from .operad import (
     OperadElement,
     act,
@@ -50,7 +50,6 @@ from .operad import (
     to_vector,
 )
 from .perms import (
-    Permutation,
     all_permutations,
     arrangement_classes,
     block_compose,
@@ -90,7 +89,6 @@ __all__ = [
 
 UNITAL = "unital"
 NONUNITAL = "nonunital"
-DEFAULT_BUDGET = 10**7
 
 CACHE_MAGIC = "OPIDEAL v1"
 # The largest arity a slice file may declare: 10! = 3,628,800 columns.
@@ -225,9 +223,7 @@ def _saturate_under_action(
         if heap and len(remainder) > heap[0][0]:
             heappush(heap, (len(remainder), next(tick), candidate, remainder))
             continue
-        vec = SparseVector(dim)
-        vec.entries = remainder
-        basis.insert(vec)
+        basis.insert(remainder)
         offer(candidate)
 
 
@@ -251,7 +247,7 @@ def _compositions(
             yield (head,) + tail
 
 
-def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]:
+def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int]]:
     """A spanning family before the symmetric-group closure: elements
     1_3 o (1_r, theta o (1_{s_1},...,1_{s_k}), 1_t) with r + sum(s) + t = n;
     contractions (s_i = 0) only in unital mode.  Its S_n-closure is the
@@ -273,7 +269,6 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]
     S_m -> S_n, one table per (r, t).  The order is m = n - r - t, then r.
     """
     s_min = 0 if gens.mode == UNITAL else 1
-    fact_n = math.factorial(n)
     by_arity: dict[int, list[OperadElement]] = {}
     for theta in gens.elements:
         by_arity.setdefault(theta.arity, []).append(theta)
@@ -285,7 +280,7 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]
         ordered = k > n
         if ordered:
             # Keyed by permutation: nothing of size k! is built.
-            rows = [_integer_row(theta) for theta in thetas]
+            rows = [_integral(theta.terms) for theta in thetas]
             support = {p for row in rows for p in row}
         else:
             span = RowBasis(math.factorial(k))
@@ -318,15 +313,7 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[SparseVector]
         for r in range(n - m + 1):
             shift = unit_shift_table(r, m, n - m - r)
             for middle in found:
-                vec = SparseVector(fact_n)
-                vec.entries = {shift[j]: c for j, c in middle.items()}
-                yield vec
-
-
-def _integer_row(theta: OperadElement) -> dict[Permutation, int]:
-    """theta's terms times the lcm of their denominators."""
-    scale = math.lcm(*(c.denominator for _, c in theta.items()))
-    return {p: c.numerator * (scale // c.denominator) for p, c in theta.items()}
+                yield {shift[j]: c for j, c in middle.items()}
 
 
 def ideal_slice_spanning(
@@ -355,15 +342,7 @@ def ideal_slice_spanning(
     if stats is not None:
         stats["cache_hit"] = False
     basis = RowBasis(math.factorial(n))
-    seen: set[tuple] = set()
-    seeds: list[dict[int, Fraction | int]] = []
-    for vec in _spanning_core_vectors(gens, n):
-        key = tuple(sorted(vec.entries.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        if basis.insert(vec):
-            seeds.append(vec.entries)
+    seeds = [vec for vec in _spanning_core_vectors(gens, n) if basis.insert(vec)]
     _saturate_under_action(basis, seeds)
     result = IdealSlice(n, basis)
     if path is not None:
@@ -547,7 +526,6 @@ def _evaluation_rows(
     pattern, a, j and the coefficient of every arrangement).  Everything
     per pattern lives for one call.
     """
-    fact_n = math.factorial(n)
     columns = _table_columns(algebra)
     # The index of the unit if it is a basis vector, else None.
     unit_entries = algebra.unit.entries
@@ -559,10 +537,9 @@ def _evaluation_rows(
     # Per (pattern, a, j) with j > 0: the core's class of every permutation
     # index of S_n (with j = 0 the lift is the core's own classes).
     lifts: dict[tuple, list[int]] = {}
-    rows = RowBasis(fact_n)
+    rows = RowBasis(math.factorial(n))
     grown: list[dict[int, Fraction | int]] = []
     signatures: set[tuple] = set()
-    seen: set[tuple] = set()
     for tup in tuples:
         a = j = 0
         if unit is not None:
@@ -591,19 +568,13 @@ def _evaluation_rows(
                 coefs[k] = c
         for coefs in by_coord.values():
             # The row is coefs[lift[si]] at si, so equal signatures give
-            # equal rows; distinct ones still may, hence the row check.
+            # equal rows; distinct ones still may, and the basis rejects those.
             signature = (pattern, a, j, tuple(coefs))
             if signature in signatures:
                 continue
             signatures.add(signature)
             row = {si: c for si, c in enumerate(map(coefs.__getitem__, lift)) if c}
-            key = tuple(row.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            vec = SparseVector(fact_n)
-            vec.entries = row
-            if rows.insert(vec):
+            if rows.insert(row):
                 grown.append(row)
     return rows, grown
 
@@ -663,6 +634,27 @@ class ClosureReport:
         return f"ClosureReport(ok={self.ok!r}, checked={self.checked!r}, failure={self.failure!r})"
 
 
+def _closure_moves(
+    theta: OperadElement, max_arity: int, mode: str
+) -> Iterator[tuple[OperadElement, int, str, object]]:
+    """The images of theta under the closure moves, in checking order, each
+    with its target arity and the move's name: a template and its slot."""
+    m = theta.arity
+    if m >= 2:
+        for tau in all_permutations(m):
+            yield act(theta, tau), m, "right translate by {}", tau
+    if m + 1 <= max_arity:
+        unit2 = OperadElement.unit(2)
+        for i in range(1, m + 1):
+            yield partial_compose(theta, i, unit2), m + 1, "padding slot {}", i
+        for j in (1, 2):
+            yield partial_compose(unit2, j, theta), m + 1, "outer padding slot {}", j
+    if mode == UNITAL and m >= 1:
+        unit0 = OperadElement.unit(0)
+        for i in range(1, m + 1):
+            yield partial_compose(theta, i, unit0), m - 1, "contraction at slot {}", i
+
+
 def verify_ideal_closure(
     slices: Mapping[int, IdealSlice], max_arity: int, mode: str = UNITAL
 ) -> ClosureReport:
@@ -677,59 +669,17 @@ def verify_ideal_closure(
     for m in range(1, max_arity + 1):
         if m not in slices:
             raise ValueError(f"missing slice for arity {m}")
-    unit2 = OperadElement.unit(2)
-    unit0 = OperadElement.unit(0)
-    zero_by_arity: dict[int, IdealSlice] = {}
-
-    def slice_at(m: int) -> IdealSlice:
-        if m in slices:
-            return slices[m]
-        if m not in zero_by_arity:
-            zero_by_arity[m] = IdealSlice.zero(m)
-        return zero_by_arity[m]
-
+    # Every move lands in 0..max_arity, so only arity 0 can be missing.
+    slice_at = {0: IdealSlice.zero(0), **slices}
     checked = 0
     for m in sorted(k for k in slices if k <= max_arity):
-        current = slices[m]
-        for theta in current.elements():
-            if m >= 2:
-                for tau in all_permutations(m):
-                    checked += 1
-                    if not current.contains(act(theta, tau)):
-                        return ClosureReport(
-                            False,
-                            checked,
-                            f"arity {m}: right translate by {tau} escapes the slice",
-                        )
-            if m + 1 <= max_arity:
-                target = slice_at(m + 1)
-                for i in range(1, m + 1):
-                    checked += 1
-                    if not target.contains(partial_compose(theta, i, unit2)):
-                        return ClosureReport(
-                            False,
-                            checked,
-                            f"arity {m}: padding slot {i} escapes arity {m + 1}",
-                        )
-                for j in (1, 2):
-                    checked += 1
-                    if not target.contains(partial_compose(unit2, j, theta)):
-                        return ClosureReport(
-                            False,
-                            checked,
-                            f"arity {m}: outer padding slot {j} escapes arity {m + 1}",
-                        )
-            if mode == UNITAL and m >= 1:
-                target = slice_at(m - 1)
-                for i in range(1, m + 1):
-                    checked += 1
-                    image = partial_compose(theta, i, unit0)
-                    if not (image.is_zero() or target.contains(image)):
-                        return ClosureReport(
-                            False,
-                            checked,
-                            f"arity {m}: contraction at slot {i} escapes arity {m - 1}",
-                        )
+        for theta in slices[m].elements():
+            for image, target, move, slot in _closure_moves(theta, max_arity, mode):
+                checked += 1
+                if not slice_at[target].contains(image):
+                    where = "the slice" if target == m else f"arity {target}"
+                    failure = f"arity {m}: {move.format(slot)} escapes {where}"
+                    return ClosureReport(False, checked, failure)
     return ClosureReport(True, checked)
 
 

@@ -178,7 +178,8 @@ class RowBasis:
     RREF row by the least positive factor that makes it integral gives
     the stored row back, so the stored form is in bijection with reduced
     row-echelon form: it is a canonical representative of the subspace,
-    and :meth:`rows` returns exactly the RREF rows.  Input vectors may
+    and :meth:`rows` returns exactly the RREF rows.  Input vectors, given
+    as SparseVectors or as plain maps from column index to value, may
     hold ``Fraction`` or int entries; their denominators are cleared once
     per vector, or the RREF rows are adopted whole (:meth:`from_rref`).
     Mutation happens only via :meth:`insert`.
@@ -250,11 +251,15 @@ class RowBasis:
                 raise ValueError(f"row {pivot} is not reduced against the other pivots")
         return basis
 
-    def _check(self, vec: SparseVector) -> None:
-        if vec.dimension != self.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {vec.dimension} vs {self.dimension}"
-            )
+    def _entries(self, vec: SparseVector | Mapping[int, Fraction | int]) -> Mapping:
+        """vec's entries, checked to fit the dimension of the basis."""
+        if isinstance(vec, SparseVector):
+            if vec.dimension != self.dimension:
+                raise DimensionMismatch(f"dimension mismatch: {vec.dimension} vs {self.dimension}")
+            return vec.entries
+        if vec and not 0 <= min(vec) <= max(vec) < self.dimension:
+            raise DimensionMismatch(f"index out of range for dimension {self.dimension}")
+        return vec
 
     def reduce(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
         """The remainder of entries modulo the rows: a fresh integer map, a
@@ -285,15 +290,13 @@ class RowBasis:
                     del v[c]
         return v
 
-    def contains(self, vec: SparseVector) -> bool:
+    def contains(self, vec: SparseVector | Mapping[int, Fraction | int]) -> bool:
         """True iff vec lies in the span of the basis rows."""
-        self._check(vec)
-        return not self.reduce(vec.entries)
+        return not self.reduce(self._entries(vec))
 
-    def insert(self, vec: SparseVector) -> bool:
+    def insert(self, vec: SparseVector | Mapping[int, Fraction | int]) -> bool:
         """Add vec to the span; returns True iff the rank grew."""
-        self._check(vec)
-        v = self.reduce(vec.entries)
+        v = self.reduce(self._entries(vec))
         if not v:
             return False
         pivot = min(v)
@@ -342,9 +345,7 @@ class RowBasis:
             entries = {f: scale}
             for pivot, x, p in terms:
                 entries[pivot] = -x * (scale // p)
-            vec = SparseVector(self.dimension)
-            vec.entries = entries
-            kernel.insert(vec)
+            kernel.insert(entries)
         return kernel
 
     def __eq__(self, other: object) -> bool:

@@ -2,11 +2,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oplab.algebras as algebras
 from oplab import (
     AlgebraError,
     OperadElement,
@@ -169,6 +171,37 @@ def test_algebra_from_spec_rejects_malformed_fields():
         with pytest.raises(AlgebraError):
             algebra_from_spec(spec)
     assert algebra_from_spec({"type": "matrix", "k": 2.0}) is matrix_algebra(2)
+
+
+def test_algebra_from_spec_refuses_builds_above_the_budget(monkeypatch):
+    # dim^3 associativity checks above 10**7 are refused before anything is
+    # built: every builder raises if called, so a broken check fails here
+    # instead of hanging
+    def never(*args):
+        raise AssertionError("builder called")
+
+    for name in ("matrix_algebra", "grassmann_algebra", "direct_sum", "StructureAlgebra"):
+        monkeypatch.setattr(algebras, name, never)
+    for spec in (
+        {"type": "matrix", "k": 15},
+        {"type": "matrix", "k": 40},
+        {"type": "grassmann", "generators": 8},  # E_8, dim 256
+        {"type": "grassmann", "generators": 1e300},
+        {"type": "custom", "basis": list(range(216)), "unit": [], "table": []},
+    ):
+        with pytest.raises(AlgebraError, match="too large to build"):
+            algebra_from_spec(spec)
+    # the largest that fit take 196^3 and 128^3 checks
+    monkeypatch.setattr(algebras, "matrix_algebra", lambda k: SimpleNamespace(dim=k * k))
+    monkeypatch.setattr(algebras, "grassmann_algebra", lambda g: SimpleNamespace(dim=2**g))
+    assert algebra_from_spec({"type": "matrix", "k": 14}).dim == 196
+    assert algebra_from_spec({"type": "grassmann", "generators": 7}).dim == 128
+    # the parts are built, and their summed dimension checked before direct_sum
+    e7 = {"type": "grassmann", "generators": 7}
+    with pytest.raises(AlgebraError, match="too large to build"):
+        algebra_from_spec({"type": "direct_sum", "parts": [e7, e7]})
+    monkeypatch.setattr(algebras, "direct_sum", lambda parts: sum(a.dim for a in parts))
+    assert algebra_from_spec({"type": "direct_sum", "parts": [e7, {"type": "matrix", "k": 9}]}) == 209
 
 
 VALID_SPECS = [

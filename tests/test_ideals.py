@@ -731,6 +731,60 @@ def _span(elements):
     return basis
 
 
+def _planted(arity, *texts):
+    return IdealSlice(arity, _span([poly_to_operad(parse_poly(t)) for t in texts]))
+
+
+# (slices, max_arity, mode) -> (ok, checked, failure), as recorded before the
+# checks were folded into one loop over the closure moves.
+CLOSURE_PINS = [
+    pytest.param(
+        lambda: {n: identities_slice(matrix_algebra(2), n) for n in range(1, 4)}, 3, UNITAL,
+        (True, 0, None), id="M_2-identities",
+    ),
+    pytest.param(
+        lambda: {n: identities_slice(grassmann_algebra(2), n) for n in range(1, 4)}, 3, UNITAL,
+        (True, 18, None), id="E_2-identities",
+    ),
+    pytest.param(
+        lambda: full_slice_map(commutator_gens(UNITAL), 4), 4, UNITAL,
+        (True, 722, None), id="commutator-unital",
+    ),
+    pytest.param(
+        lambda: full_slice_map(commutator_gens(NONUNITAL), 4), 4, NONUNITAL,
+        (True, 613, None), id="commutator-nonunital",
+    ),
+    pytest.param(
+        lambda: {1: IdealSlice.zero(1), 2: _planted(2, "x1*x2")}, 2, NONUNITAL,
+        (False, 2, "arity 2: right translate by (2,1) escapes the slice"), id="translate",
+    ),
+    pytest.param(
+        lambda: {1: _planted(1, "x1"), 2: IdealSlice.zero(2)}, 2, NONUNITAL,
+        (False, 1, "arity 1: padding slot 1 escapes arity 2"), id="padding",
+    ),
+    # the inner paddings of [x1,x2] are in the arity-3 slice, [x1,x2]*x3 is not
+    pytest.param(
+        lambda: {
+            1: IdealSlice.zero(1),
+            2: _planted(2, "x1*x2 - x2*x1"),
+            3: _planted(3, "x1*x2*x3 - x3*x1*x2", "x1*x2*x3 - x2*x3*x1"),
+        },
+        3, NONUNITAL,
+        (False, 5, "arity 2: outer padding slot 1 escapes arity 3"), id="outer-padding",
+    ),
+    pytest.param(
+        lambda: {1: _planted(1, "x1")}, 1, UNITAL,
+        (False, 1, "arity 1: contraction at slot 1 escapes arity 0"), id="contraction",
+    ),
+]
+
+
+@pytest.mark.parametrize("slices, max_arity, mode, expected", CLOSURE_PINS)
+def test_verify_ideal_closure_pinned(slices, max_arity, mode, expected):
+    report = verify_ideal_closure(slices(), max_arity, mode)
+    assert (report.ok, report.checked, report.failure) == expected
+
+
 def test_verify_ideal_closure_missing_slice():
     with pytest.raises(ValueError):
         verify_ideal_closure({1: IdealSlice.zero(1)}, 2)

@@ -237,8 +237,8 @@ def vector_streams(draw):
 def test_row_basis_matches_fraction_oracle(case):
     dim, stream, order, probes = case
     mine, reference = RowBasis(dim), FractionRowBasis(dim)
-    for v in stream:
-        assert mine.insert(v) == reference.insert(v)
+    grew = [reference.insert(v) for v in stream]
+    assert [mine.insert(v) for v in stream] == grew
     assert mine.rank == reference.rank
     assert mine.pivots() == reference.pivots()
     rows = mine.rows()
@@ -253,6 +253,28 @@ def test_row_basis_matches_fraction_oracle(case):
     for i in order:
         reordered.insert(stream[i])
     assert reordered == mine
+    # the same stream as plain entry maps
+    plain = RowBasis(dim)
+    assert [plain.insert(dict(v.entries)) for v in stream] == grew
+    assert plain == mine
+    assert plain.rows() == reference.rows()
+    assert plain.kernel().rows() == reference.kernel().rows()
+    for probe in probes + stream:
+        assert plain.contains(dict(probe.entries)) == reference.contains(probe)
+
+
+def test_row_basis_range_checks_plain_maps():
+    basis = RowBasis(3)
+    assert basis.insert({0: 1, 2: Fraction(1, 2)})
+    assert basis.contains({0: 2, 2: 1})
+    for bad in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
+        with pytest.raises(DimensionMismatch):
+            basis.insert(bad)
+        with pytest.raises(DimensionMismatch):
+            basis.contains(bad)
+    with pytest.raises(DimensionMismatch):
+        RowBasis(0).insert({0: 1})
+    assert basis.rank == 1
 
 
 @given(vector_streams())

@@ -1,0 +1,31 @@
+"""Every command of the README's CLI block, run through cli.main in README
+order: stdout must stay byte for byte what readme_cli.golden records, one
+line per command."""
+
+import shlex
+from pathlib import Path
+
+from oplab.cli import main
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "readme_cli.golden"
+
+
+def readme_commands():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_cli_stdout_is_unchanged(capsys, monkeypatch, tmp_path):
+    # the cache commands get a relative --cache-dir inside a fresh cwd, so
+    # the params they echo do not depend on where the test runs
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OPLAB_CACHE_DIR", raising=False)
+    outputs = []
+    for argv in readme_commands():
+        assert argv[0] == "oplab"
+        argv = ["oplab-cache" if a == "/tmp/oplab-cache" else a for a in argv[1:]]
+        assert main(argv) == 0, argv
+        outputs.append(capsys.readouterr().out)
+    assert outputs == GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
