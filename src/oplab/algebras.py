@@ -1,10 +1,10 @@
 """Finite-dimensional unital algebras given by structure constants.
 
 An algebra is a basis with a multiplication table (b_i * b_j expanded in
-coordinates) and a distinguished unit vector; associativity and the unit
-laws are checked exhaustively at construction time.  Operad elements and
-noncommutative polynomials evaluate against tuples of elements with
-exact arithmetic.
+coordinates) and a distinguished unit vector; the unit laws and
+associativity are checked at construction time, associativity by Light's
+test over a generating set.  Operad elements and noncommutative
+polynomials evaluate against tuples of elements with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .freealg import NcPoly, format_poly, multilinearize, poly_to_operad
-from .linalg import SparseVector, as_fraction, format_rational
+from .linalg import RowBasis, SparseVector, as_fraction, format_rational
 from .operad import OperadElement
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 # The default cap on exhaustive work: the tuples an identity computation
-# enumerates, and the dim^3 associativity checks of an algebra built from
-# a spec.
+# enumerates, and dim^3, the bound on the associativity checks of an
+# algebra built from a spec.
 DEFAULT_BUDGET = 10**7
 
 
@@ -49,7 +49,7 @@ class AlgebraError(ValueError):
 class StructureAlgebra:
     """Unital associative algebra with an explicit multiplication table."""
 
-    __slots__ = ("name", "labels", "dim", "table", "unit", "_zero_overlap_masks")
+    __slots__ = ("name", "labels", "dim", "table", "unit", "_columns", "_zero_overlap_masks")
 
     def __init__(
         self,
@@ -74,30 +74,56 @@ class StructureAlgebra:
         self.dim = dim
         self.table = [list(row) for row in table]
         self.unit = unit
+        self._columns = _integer_columns(self.table)
         # Optional metadata set by constructors that can guarantee it:
         # masks such that overlapping factors annihilate any basis product.
         self._zero_overlap_masks: list[int] | None = None
         self._validate()
 
     def _validate(self) -> None:
-        # Straight on the table entries: for b_i b_j = sum_l c_l b_l,
-        # (b_i b_j) b_k = sum_l c_l table[l][k]; for b_j b_k = sum_l c_l b_l,
-        # b_i (b_j b_k) = sum_l c_l table[i][l].
-        rows = [[vec.entries for vec in row] for row in self.table]
-        columns = [list(column) for column in zip(*rows)]
-        labels, unit = self.labels, self.unit.entries
+        """Check the unit laws, then associativity by Light's test (Clifford
+        and Preston, The Algebraic Theory of Semigroups I, section 1.2).
+
+        Let G be the set of a with (x a) y = x (a y) for all x, y.  G is a
+        subspace, and it holds 1 by the unit laws.  It is closed under
+        products: for a, b in G,
+        x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y.
+        `_light_generators` picks basis elements S such that the smallest
+        subspace V holding 1 and closed under left multiplication by S is
+        the whole algebra.  Once G holds S, G is such a subspace, so it
+        holds V, which is everything.  Hence checking the basis triples
+        (b_i, b_j, b_k) with b_j in S, |S| dim^2 of them, proves
+        associativity, and a failure names a triple that really fails.
+        """
+        columns = self._columns
+        rows = list(zip(*columns))  # rows[i][j]: b_i b_j
+        labels = self.labels
+        unit = {k: c.numerator if c.denominator == 1 else c for k, c in self.unit.entries.items()}
         for i in range(self.dim):
             if _combine(unit, columns[i]) != {i: 1} or _combine(unit, rows[i]) != {i: 1}:
                 raise AlgebraError(f"unit law fails on basis element {labels[i]}")
-        for i, row_i in enumerate(rows):
-            for j, row_j in enumerate(rows):
+        # Straight on the table entries: for b_i b_j = sum_l c_l b_l,
+        # (b_i b_j) b_k = sum_l c_l columns[k][l]; for b_j b_k = sum_l c_l b_l,
+        # b_i (b_j b_k) = sum_l c_l rows[i][l].  A zero side is not formed.
+        for j in _light_generators(rows, unit):
+            row_j = rows[j]
+            nonzero = [(k, right) for k, right in enumerate(row_j) if right]
+            for i, row_i in enumerate(rows):
                 left = row_i[j]
-                for k, right in enumerate(row_j):
-                    if (left or right) and _combine(left, columns[k]) != _combine(right, row_i):
-                        raise AlgebraError(
-                            "associativity fails on basis triple "
-                            f"({labels[i]}, {labels[j]}, {labels[k]})"
-                        )
+                if left:
+                    failing = (
+                        k
+                        for k, right in enumerate(row_j)
+                        if _combine(left, columns[k]) != (_combine(right, row_i) if right else {})
+                    )
+                else:  # (b_i b_j) b_k = 0, so b_i (b_j b_k) must vanish
+                    failing = (k for k, right in nonzero if _combine(right, row_i))
+                k = next(failing, None)
+                if k is not None:
+                    raise AlgebraError(
+                        "associativity fails on basis triple "
+                        f"({labels[i]}, {labels[j]}, {labels[k]})"
+                    )
 
     def multiply_coords(self, a: SparseVector, b: SparseVector) -> SparseVector:
         """Bilinear extension of the table to coordinate vectors."""
@@ -353,8 +379,11 @@ def _spec_vector(raw, dim: int, what: str) -> SparseVector:
 
 
 def _check_build_cost(dim: int, shown: str) -> None:
-    """Refuse an algebra whose construction runs more than DEFAULT_BUDGET
-    associativity checks, one per basis triple; `shown` writes dim."""
+    """Refuse an algebra whose construction could run more than
+    DEFAULT_BUDGET associativity checks; `shown` writes dim.  Light's test
+    checks |S| dim^2 basis triples with |S| < dim, so dim^3 is an upper
+    bound, nearly reached when every non-unit basis element is a
+    generator."""
     if dim**3 > DEFAULT_BUDGET:
         raise AlgebraError(
             f"an algebra of dimension {shown} is too large to build: its dimension^3 "
@@ -370,8 +399,8 @@ def algebra_from_spec(spec: Mapping) -> StructureAlgebra:
     "table":[[[...]]]} with rationals as integers or "p/q" strings, and
     {"type":"direct_sum","parts":[...]} with nested descriptions.  A missing
     field, a field of the wrong JSON type or a size that is not an integer
-    raises AlgebraError, and so does an algebra whose dim^3 associativity
-    checks exceed DEFAULT_BUDGET, before any table is built.
+    raises AlgebraError, and so does an algebra whose bound of dim^3
+    associativity checks exceeds DEFAULT_BUDGET, before any table is built.
     """
     kind = _field(spec, "type", str)
     if kind == "matrix":
@@ -476,16 +505,59 @@ def _combine(
     return accum
 
 
-def _table_columns(algebra: StructureAlgebra) -> list[list[dict[int, Fraction | int]]]:
-    """columns[j][i]: the coordinates of b_i b_j, read-only.  Integral
-    entries are held as ints; equal entries share one dict."""
+def _integer_columns(
+    table: Sequence[Sequence[SparseVector]],
+) -> list[list[dict[int, Fraction | int]]]:
+    """columns[j][i]: the coordinates of b_i b_j.  Integral entries are
+    held as ints; equal entries share one dict."""
     shared: dict[tuple, dict[int, Fraction | int]] = {}
 
     def integral(entries: Mapping[int, Fraction]) -> dict[int, Fraction | int]:
         key = tuple((k, d.numerator if d.denominator == 1 else d) for k, d in entries.items())
-        return shared.setdefault(key, dict(key))
+        found = shared.get(key)
+        if found is None:
+            found = shared[key] = dict(key)
+        return found
 
-    return [[integral(row[j].entries) for row in algebra.table] for j in range(algebra.dim)]
+    return [[integral(row[j].entries) for row in table] for j in range(len(table))]
+
+
+def _light_generators(
+    rows: Sequence[Sequence[Mapping[int, Fraction | int]]], unit: Mapping[int, Fraction]
+) -> list[int]:
+    """Basis indices S, chosen greedily in basis order, such that the
+    smallest subspace V that holds the unit and is closed under left
+    multiplication by every b_s (s in S) is the whole algebra; rows[i][j]
+    holds the coordinates of b_i b_j.  Index j joins S when e_j lies
+    outside the V of the indices before it, and V is then closed again.
+    The exterior algebra E_k gets S = {e_1, ..., e_k}."""
+    dim = len(rows)
+    span = RowBasis(dim)
+    span.insert(unit)
+    found = [unit]  # spans V
+    gens: list[int] = []
+    for j in range(dim):
+        if span.rank == dim:
+            break
+        if span.contains({j: 1}):
+            continue
+        gens.append(j)
+        # every (generator, spanning vector) pair is multiplied once
+        pending = [(j, v) for v in found]
+        while pending and span.rank < dim:
+            s, v = pending.pop()
+            w = _combine(v, rows[s])
+            if w and span.insert(w):
+                found.append(w)
+                pending.extend((t, w) for t in gens)
+    return gens
+
+
+def _table_columns(algebra: StructureAlgebra) -> list[list[dict[int, Fraction | int]]]:
+    """columns[j][i]: the coordinates of b_i b_j, read-only.  Integral
+    entries are held as ints; equal entries share one dict.  The table is
+    built once, when the algebra is."""
+    return algebra._columns
 
 
 def _word_evaluator(

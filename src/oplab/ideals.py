@@ -187,13 +187,15 @@ def _saturate_under_action(
     its dimension; `seeds` must span that row space.
 
     Only sparse vectors are translated: a candidate is the translate of a
-    seed, or of an earlier candidate that was inserted, by one of the
-    generating pair, so it has a seed's support size.  Candidates wait in a
-    heap keyed by the length of their remainder modulo the basis, and the
+    seed by one of the generating pair, or of an earlier candidate that was
+    inserted or of its remainder, whichever is shorter.  Candidates wait in
+    a heap keyed by the length of their remainder modulo the basis, and the
     shortest remainder is inserted first; one that has grown since it was
-    pushed is pushed back.  The inserted vectors span a space that holds
-    the seeds and is closed under both generators, so the subspace is the
-    same as any other closure's, and so are its canonical rows.
+    pushed is pushed back.  Together with the rows before it, an inserted
+    remainder spans the same space as its candidate, so the translated
+    vectors span a space that holds the seeds and is closed under both
+    generators: the subspace is the same as any other closure's, and so
+    are its canonical rows.
     """
     seeds = list(seeds)
     if not seeds:
@@ -224,7 +226,7 @@ def _saturate_under_action(
             heappush(heap, (len(remainder), next(tick), candidate, remainder))
             continue
         basis.insert(remainder)
-        offer(candidate)
+        offer(candidate if len(candidate) <= len(remainder) else remainder)
 
 
 def _compositions(

@@ -15,7 +15,9 @@ tuple, where `oplab.identities_slice` evaluates one word per arrangement
 of each tuple's unit-free core; and `saturate_under_action_reference`,
 the last-in-first-out closure that translated echelon rows, which the
 sparse best-first closure in `oplab.ideals` replaced.  The module also
-holds two test algebras whose tables are not monomial.
+holds two test algebras whose tables are not monomial, and
+`is_associative_reference`, the plain check of every basis triple that
+Light's test in `oplab.StructureAlgebra` replaced.
 """
 
 from __future__ import annotations
@@ -221,6 +223,39 @@ def naive_identity_rows(algebra: StructureAlgebra, n: int) -> list[list[Fraction
                 by_coord.setdefault(coord, [Fraction(0)] * len(perms))[si] = c
         rows.extend(by_coord.values())
     return rows
+
+
+def table_product(
+    table: list[list[SparseVector]], x: dict[int, Fraction], y: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """x * y for coordinate maps x and y, by bilinearity from the products
+    of basis elements, table[a][b] = b_a b_b."""
+    out: dict[int, Fraction] = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            for c, t in table[a][b].entries.items():
+                out[c] = out.get(c, Fraction(0)) + xa * yb * t
+    return {c: v for c, v in out.items() if v}
+
+
+def triple_associates(table: list[list[SparseVector]], i: int, j: int, k: int) -> bool:
+    """(b_i b_j) b_k == b_i (b_j b_k)."""
+    b = [{m: Fraction(1)} for m in range(len(table))]
+    return table_product(table, table_product(table, b[i], b[j]), b[k]) == table_product(
+        table, b[i], table_product(table, b[j], b[k])
+    )
+
+
+def unit_law_holds(table: list[list[SparseVector]], unit: SparseVector, i: int) -> bool:
+    """1 b_i == b_i == b_i 1."""
+    b_i = {i: Fraction(1)}
+    return table_product(table, unit.entries, b_i) == b_i == table_product(table, b_i, unit.entries)
+
+
+def is_associative_reference(table: list[list[SparseVector]]) -> bool:
+    """Every one of the dim^3 basis triples associates."""
+    dim = len(table)
+    return all(triple_associates(table, *t) for t in product(range(dim), repeat=3))
 
 
 def spanning_core_vectors_reference(gens: GeneratorSet, n: int) -> list[SparseVector]:

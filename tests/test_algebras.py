@@ -32,7 +32,13 @@ from oplab import (
     standard_polynomial,
     tensor_product,
 )
-from oracles import DUAL_SHIFTED, M2_UNIT_SPLIT
+from oracles import (
+    DUAL_SHIFTED,
+    M2_UNIT_SPLIT,
+    is_associative_reference,
+    triple_associates,
+    unit_law_holds,
+)
 
 
 def unit_entry(algebra, label):
@@ -111,6 +117,165 @@ def test_broken_unit_law_rejected():
     table = [[one, doubled], [b, SparseVector(dim)]]
     with pytest.raises(AlgebraError, match="unit"):
         StructureAlgebra(["1", "b"], table, unit)
+
+
+def build_verdict(labels, table, unit):
+    """Whether StructureAlgebra accepts the table, checked against the
+    reference: accepted exactly when the unit laws hold and every basis
+    triple associates, and a rejection names a unit law or a triple that
+    really fails."""
+    try:
+        StructureAlgebra(labels, table, unit)
+    except AlgebraError as exc:
+        message = str(exc)
+        unit_prefix = "unit law fails on basis element "
+        if message.startswith(unit_prefix):
+            assert not unit_law_holds(table, unit, labels.index(message[len(unit_prefix):]))
+            return "unit"
+        prefix = "associativity fails on basis triple ("
+        assert message.startswith(prefix) and message.endswith(")"), message
+        i, j, k = (labels.index(x) for x in message[len(prefix):-1].split(", "))
+        assert all(unit_law_holds(table, unit, m) for m in range(len(labels)))
+        assert not triple_associates(table, i, j, k)
+        return "associativity"
+    assert all(unit_law_holds(table, unit, m) for m in range(len(labels)))
+    assert is_associative_reference(table)
+    return "accepted"
+
+
+PERTURBED_BASES = [
+    lambda: grassmann_algebra(2),
+    lambda: grassmann_algebra(3),
+    lambda: matrix_algebra(2),
+    lambda: direct_sum([matrix_algebra(1), grassmann_algebra(1)]),
+    lambda: direct_sum([grassmann_algebra(1), grassmann_algebra(1), matrix_algebra(1)]),
+    lambda: tensor_product(grassmann_algebra(1), grassmann_algebra(1)),
+    lambda: tensor_product(matrix_algebra(2), grassmann_algebra(1)),
+]
+
+
+def perturbed_table(rng, algebra):
+    """The algebra's table and unit as coordinate maps, in a third of cases
+    rescaled basis by basis (an associative change of basis), then changed
+    in up to two entries: a coordinate moved, two entries swapped or an
+    entry cleared.  Most changes avoid the entries the unit laws read."""
+    dim = algebra.dim
+    table = [[dict(vec.entries) for vec in row] for row in algebra.table]
+    unit = dict(algebra.unit.entries)
+    if rng.random() < 1 / 3:
+        s = [Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])) for _ in range(dim)]
+        table = [
+            [{l: s[i] * s[j] * c / s[l] for l, c in table[i][j].items()} for j in range(dim)]
+            for i in range(dim)
+        ]
+        unit = {l: c / s[l] for l, c in unit.items()}
+    plain = [m for m in range(dim) if m not in unit] or list(range(dim))
+
+    def position():
+        pool = plain if rng.random() < 0.8 else range(dim)
+        return rng.choice(pool), rng.choice(pool)
+
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        i, j = position()
+        kind = rng.randrange(3)
+        if kind == 0:
+            l = rng.randrange(dim)
+            value = table[i][j].get(l, 0) + Fraction(rng.choice([-2, -1, 1]), rng.choice([1, 2]))
+            if value:
+                table[i][j][l] = value
+            else:
+                del table[i][j][l]
+        elif kind == 1:
+            k, m = position()
+            table[i][j], table[k][m] = table[k][m], table[i][j]
+        else:
+            table[i][j] = {}
+    vectors = [[SparseVector(dim, entry) for entry in row] for row in table]
+    return [f"b{m}" for m in range(dim)], vectors, SparseVector(dim, unit)
+
+
+def test_light_test_matches_checking_every_triple():
+    # accept/reject against the dim^3 reference on 1,260 derandomized
+    # perturbations of small tables (exterior and matrix algebras, direct
+    # sums and tensor products), with both verdicts well represented
+    rng = random.Random(12)
+    verdicts = {"accepted": 0, "unit": 0, "associativity": 0}
+    for build in PERTURBED_BASES:
+        algebra = build()
+        for _ in range(180):
+            verdicts[build_verdict(*perturbed_table(rng, algebra))] += 1
+    assert sum(verdicts.values()) >= 1000
+    assert verdicts["accepted"] >= 200 and verdicts["associativity"] >= 200, verdicts
+
+
+def test_light_test_on_a_square_zero_extension():
+    # Q1 + V with V^2 = 0: the unit and left products of generators reach
+    # a v_m only through v_m itself, so every non-unit basis element is a
+    # generator (the worst case, |S| dim^2 = (dim - 1) dim^2 triples)
+    dim = 5
+    labels = ["1"] + [f"v{m}" for m in range(1, dim)]
+
+    def table_with(extra):
+        return [
+            [
+                SparseVector(dim, {i + j: 1} if not i * j else extra.get((i, j), {}))
+                for j in range(dim)
+            ]
+            for i in range(dim)
+        ]
+
+    one = SparseVector(dim, {0: 1})
+    algebra = StructureAlgebra(labels, table_with({}), one)
+    rows = list(zip(*algebras._table_columns(algebra)))
+    assert algebras._light_generators(rows, {0: 1}) == [1, 2, 3, 4]
+    assert build_verdict(labels, table_with({}), one) == "accepted"
+    # v1 v2 = v3 stays associative; v1 v2 = v1 fails on (v1, v2, v2)
+    assert build_verdict(labels, table_with({(1, 2): {3: 1}}), one) == "accepted"
+    assert build_verdict(labels, table_with({(1, 2): {1: 1}}), one) == "associativity"
+    with pytest.raises(AlgebraError, match=r"\(v1, v2, v2\)"):
+        StructureAlgebra(labels, table_with({(1, 2): {1: 1}}), one)
+
+
+def test_light_test_finds_a_defect_between_two_non_generators():
+    # E_3's generators are e1, e2, e3.  The only change, e12 * e13 = e123
+    # instead of 0, is a product of two non-generators; it surfaces in a
+    # triple whose middle factor is a generator
+    e3 = grassmann_algebra(3)
+    rows = list(zip(*algebras._table_columns(e3)))
+    generators = algebras._light_generators(rows, {0: 1})
+    assert [e3.labels[j] for j in generators] == ["e1", "e2", "e3"]
+    table = [list(row) for row in e3.table]
+    e12, e13, e123 = (e3.labels.index(x) for x in ("e12", "e13", "e123"))
+    assert table[e12][e13].is_zero()
+    table[e12][e13] = SparseVector(e3.dim, {e123: 1})
+    assert build_verdict(e3.labels, table, e3.unit) == "associativity"
+    with pytest.raises(AlgebraError) as info:
+        StructureAlgebra(e3.labels, table, e3.unit)
+    middle = str(info.value).rsplit("(", 1)[1].split(", ")[1]
+    assert e3.labels.index(middle) in generators
+
+
+def test_light_test_checks_few_triples(monkeypatch):
+    # while E_6 builds, each checked triple with b_i b_j != 0 forms
+    # (b_i b_j) b_k once, as a combination of the table's columns: at most
+    # |S| dim^2 = 6 * 64^2 of them, where checking every basis triple forms
+    # 729 * 64
+    seen = []
+    real = algebras._combine
+
+    def counting(coords, vecs):
+        seen.append(id(vecs))
+        return real(coords, vecs)
+
+    monkeypatch.setattr(algebras, "_combine", counting)
+    e6 = algebras.grassmann_algebra.__wrapped__(6)
+    monkeypatch.undo()
+    columns = {id(column) for column in algebras._table_columns(e6)}
+    # less the dim products of the left unit law
+    triples = sum(v in columns for v in seen) - e6.dim
+    assert 0 < triples <= 6 * 64**2
+    rows = list(zip(*algebras._table_columns(matrix_algebra(5))))
+    assert len(algebras._light_generators(rows, matrix_algebra(5).unit.entries)) == 9
 
 
 def test_algebra_from_spec_round_trip():
