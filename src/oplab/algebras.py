@@ -22,6 +22,7 @@ from .operad import OperadElement
 __all__ = [
     "AlgebraElement",
     "AlgebraError",
+    "BudgetExceeded",
     "StructureAlgebra",
     "algebra_from_spec",
     "direct_sum",
@@ -42,6 +43,17 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 
+class BudgetExceeded(RuntimeError):
+    """The requested exhaustive enumeration is larger than the budget."""
+
+    def __init__(self, needed: int, budget: int) -> None:
+        super().__init__(
+            f"enumeration needs {needed} tuple evaluations, budget is {budget}"
+        )
+        self.needed = needed
+        self.budget = budget
+
+
 class AlgebraError(ValueError):
     """Raised for malformed structure constants or mismatched operands."""
 
@@ -49,12 +61,12 @@ class AlgebraError(ValueError):
 class StructureAlgebra:
     """Unital associative algebra with an explicit multiplication table."""
 
-    __slots__ = ("name", "labels", "dim", "table", "unit", "_columns", "_zero_overlap_masks")
+    __slots__ = ("name", "labels", "dim", "table", "columns", "unit", "_zero_overlap_masks")
 
     def __init__(
         self,
         labels: Sequence[str],
-        table: Sequence[Sequence[SparseVector]],
+        table: Sequence[Sequence[SparseVector | Mapping[int, Fraction | int]]],
         unit: SparseVector,
         name: str = "custom",
     ) -> None:
@@ -63,18 +75,15 @@ class StructureAlgebra:
             raise AlgebraError("algebra must have positive dimension")
         if len(table) != dim or any(len(row) != dim for row in table):
             raise AlgebraError("structure-constant table must be dim x dim")
-        for row in table:
-            for vec in row:
-                if vec.dimension != dim:
-                    raise AlgebraError("table entries must have the algebra dimension")
         if unit.dimension != dim:
             raise AlgebraError("unit vector must have the algebra dimension")
         self.name = name
         self.labels = list(labels)
         self.dim = dim
-        self.table = [list(row) for row in table]
+        shared: dict[tuple, dict[int, Fraction | int]] = {}
+        self.table = [[_table_entry(entry, dim, shared) for entry in row] for row in table]
+        self.columns = list(zip(*self.table))
         self.unit = unit
-        self._columns = _integer_columns(self.table)
         # Optional metadata set by constructors that can guarantee it:
         # masks such that overlapping factors annihilate any basis product.
         self._zero_overlap_masks: list[int] | None = None
@@ -95,10 +104,9 @@ class StructureAlgebra:
         (b_i, b_j, b_k) with b_j in S, |S| dim^2 of them, proves
         associativity, and a failure names a triple that really fails.
         """
-        columns = self._columns
-        rows = list(zip(*columns))  # rows[i][j]: b_i b_j
+        rows, columns = self.table, self.columns
         labels = self.labels
-        unit = {k: c.numerator if c.denominator == 1 else c for k, c in self.unit.entries.items()}
+        unit = _table_entry(self.unit, self.dim, {})
         for i in range(self.dim):
             if _combine(unit, columns[i]) != {i: 1} or _combine(unit, rows[i]) != {i: 1}:
                 raise AlgebraError(f"unit law fails on basis element {labels[i]}")
@@ -126,21 +134,10 @@ class StructureAlgebra:
                     )
 
     def multiply_coords(self, a: SparseVector, b: SparseVector) -> SparseVector:
-        """Bilinear extension of the table to coordinate vectors."""
-        accum: dict[int, Fraction] = {}
-        table = self.table
-        for i, ca in a.entries.items():
-            row = table[i]
-            for j, cb in b.entries.items():
-                scale = ca * cb
-                for k, c in row[j].entries.items():
-                    value = accum.get(k, Fraction(0)) + scale * c
-                    if value:
-                        accum[k] = value
-                    else:
-                        accum.pop(k, None)
+        """Bilinear extension of the table: a b = sum_j b_j (a b_j)."""
+        a_times = {j: _combine(a.entries, self.columns[j]) for j in b.entries}
         out = SparseVector(self.dim)
-        out.entries = accum
+        out.entries = _combine(b.entries, a_times)
         return out
 
     def basis_element(self, index: int) -> "AlgebraElement":
@@ -227,16 +224,8 @@ def matrix_algebra(k: int) -> StructureAlgebra:
     index = {pq: i for i, pq in enumerate(pairs)}
     dim = k * k
     labels = [f"e{p}{q}" for p, q in pairs]
-    table = []
-    for p, q in pairs:
-        row = []
-        for r, s in pairs:
-            if q == r:
-                row.append(SparseVector(dim, {index[(p, s)]: Fraction(1)}))
-            else:
-                row.append(SparseVector(dim))
-        table.append(row)
-    unit = SparseVector(dim, {index[(p, p)]: Fraction(1) for p in range(1, k + 1)})
+    table = [[{index[p, s]: 1} if q == r else {} for r, s in pairs] for p, q in pairs]
+    unit = SparseVector(dim, {index[p, p]: 1 for p in range(1, k + 1)})
     return StructureAlgebra(labels, table, unit, name=f"matrix({k})")
 
 
@@ -262,14 +251,12 @@ def grassmann_algebra(generators: int) -> StructureAlgebra:
         s_set = set(s)
         for t in subsets:
             if s_set & set(t):
-                row.append(SparseVector(dim))
+                row.append({})
             else:
                 inversions = sum(1 for a in s for b in t if a > b)
-                sign = -1 if inversions % 2 else 1
-                merged = tuple(sorted(s + t))
-                row.append(SparseVector(dim, {index[merged]: Fraction(sign)}))
+                row.append({index[tuple(sorted(s + t))]: -1 if inversions % 2 else 1})
         table.append(row)
-    unit = SparseVector(dim, {0: Fraction(1)})
+    unit = SparseVector(dim, {0: 1})
     algebra = StructureAlgebra(labels, table, unit, name=f"grassmann({generators})")
     # Any basis product with two factors of overlapping support vanishes in
     # every order, and supports merge under products; record that as masks.
@@ -283,28 +270,15 @@ def direct_sum(parts: Sequence[StructureAlgebra]) -> StructureAlgebra:
     if not parts:
         raise AlgebraError("direct sum needs at least one part")
     dim = sum(a.dim for a in parts)
-    offsets = []
-    total = 0
-    for a in parts:
-        offsets.append(total)
-        total += a.dim
-    labels = [
-        f"{label}#{k}" for k, a in enumerate(parts) for label in a.labels
-    ]
-    table: list[list[SparseVector]] = [
-        [SparseVector(dim) for _ in range(dim)] for _ in range(dim)
-    ]
+    labels = [f"{label}#{k}" for k, a in enumerate(parts) for label in a.labels]
+    table: list[list[dict[int, Fraction | int]]] = [[{}] * dim for _ in range(dim)]
     unit_entries: dict[int, Fraction] = {}
-    for k, a in enumerate(parts):
-        off = offsets[k]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                entries = {
-                    off + idx: c for idx, c in a.table[i][j].entries.items()
-                }
-                table[off + i][off + j] = SparseVector(dim, entries)
-        for idx, c in a.unit.entries.items():
-            unit_entries[off + idx] = c
+    off = 0
+    for a in parts:
+        for i, row in enumerate(a.table):
+            table[off + i][off : off + a.dim] = [{off + l: c for l, c in e.items()} for e in row]
+        unit_entries.update((off + l, c) for l, c in a.unit.entries.items())
+        off += a.dim
     unit = SparseVector(dim, unit_entries)
     name = " (+) ".join(a.name for a in parts)
     return StructureAlgebra(labels, table, unit, name=name)
@@ -315,29 +289,16 @@ def tensor_product(left: StructureAlgebra, right: StructureAlgebra) -> Structure
     dim = left.dim * right.dim
     labels = [f"{a}(x){b}" for a in left.labels for b in right.labels]
 
-    def flat(i: int, j: int) -> int:
-        return i * right.dim + j
+    def product(x: Mapping[int, Fraction | int], y: Mapping[int, Fraction | int]) -> dict:
+        """The coordinates of x (x) y, on the index a * right.dim + b."""
+        return {a * right.dim + b: ca * cb for a, ca in x.items() for b, cb in y.items()}
 
-    table: list[list[SparseVector]] = []
-    for i1 in range(left.dim):
-        for j1 in range(right.dim):
-            row = []
-            for i2 in range(left.dim):
-                for j2 in range(right.dim):
-                    lvec = left.table[i1][i2]
-                    rvec = right.table[j1][j2]
-                    entries = {
-                        flat(a, b): ca * cb
-                        for a, ca in lvec.entries.items()
-                        for b, cb in rvec.entries.items()
-                    }
-                    row.append(SparseVector(dim, entries))
-            table.append(row)
-    unit_entries = {
-        flat(a, b): ca * cb
-        for a, ca in left.unit.entries.items()
-        for b, cb in right.unit.entries.items()
-    }
+    table = [
+        [product(x, y) for x in left_row for y in right_row]
+        for left_row in left.table
+        for right_row in right.table
+    ]
+    unit_entries = product(left.unit.entries, right.unit.entries)
     unit = SparseVector(dim, unit_entries)
     return StructureAlgebra(labels, table, unit, name=f"{left.name}(x){right.name}")
 
@@ -505,21 +466,32 @@ def _combine(
     return accum
 
 
-def _integer_columns(
-    table: Sequence[Sequence[SparseVector]],
-) -> list[list[dict[int, Fraction | int]]]:
-    """columns[j][i]: the coordinates of b_i b_j.  Integral entries are
-    held as ints; equal entries share one dict."""
-    shared: dict[tuple, dict[int, Fraction | int]] = {}
-
-    def integral(entries: Mapping[int, Fraction]) -> dict[int, Fraction | int]:
-        key = tuple((k, d.numerator if d.denominator == 1 else d) for k, d in entries.items())
-        found = shared.get(key)
-        if found is None:
-            found = shared[key] = dict(key)
-        return found
-
-    return [[integral(row[j].entries) for row in table] for j in range(len(table))]
+def _table_entry(
+    entry: SparseVector | Mapping[int, Fraction | int],
+    dim: int,
+    shared: dict[tuple, dict[int, Fraction | int]],
+) -> dict[int, Fraction | int]:
+    """The nonzero coordinates of a table entry, integral values as ints;
+    an entry equal to one already in `shared` is that dict."""
+    if isinstance(entry, SparseVector):
+        if entry.dimension != dim:
+            raise AlgebraError("table entries must have the algebra dimension")
+        entry = entry.entries
+    key = []
+    for k, c in entry.items():
+        if k.__class__ is not int or not 0 <= k < dim:
+            raise AlgebraError(f"table entry index {k!r} out of range for dimension {dim}")
+        if c.__class__ is not int:
+            c = as_fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        if c:
+            key.append((k, c))
+    key = tuple(key)
+    found = shared.get(key)
+    if found is None:
+        found = shared[key] = dict(key)
+    return found
 
 
 def _light_generators(
@@ -553,18 +525,11 @@ def _light_generators(
     return gens
 
 
-def _table_columns(algebra: StructureAlgebra) -> list[list[dict[int, Fraction | int]]]:
-    """columns[j][i]: the coordinates of b_i b_j, read-only.  Integral
-    entries are held as ints; equal entries share one dict.  The table is
-    built once, when the algebra is."""
-    return algebra._columns
-
-
 def _word_evaluator(
     columns: Sequence[Sequence[Mapping[int, Fraction | int]]], words: Sequence[Sequence[int]]
 ) -> Callable[[Sequence[int]], dict[int, dict[int, Fraction | int]]]:
     """The evaluation kernel.  For distinct words of one length n >= 1 over
-    1..n (permutation sequences) and an algebra's `_table_columns`,
+    1..n (permutation sequences) and an algebra's `columns`,
     returns a function from a tuple of n basis indices to {index of w in
     `words`: coordinates of b_{tup[w_1]} ... b_{tup[w_n]}} over the words
     w whose product is nonzero (read-only dicts; they may be table
@@ -611,14 +576,17 @@ def is_identity(poly: NcPoly, algebra: StructureAlgebra) -> bool:
 
     By multilinearity it suffices to evaluate on every tuple of basis
     elements, so the test enumerates all dim^n tuples and stops at the
-    first nonzero value.
+    first nonzero value.  Refuses with BudgetExceeded, before any tuple
+    is evaluated, when dim^n exceeds DEFAULT_BUDGET.
     """
     theta = poly_to_operad(poly)
     n = theta.arity
     if n == 0:
         return evaluate_nullary(theta, algebra).is_zero()
+    if algebra.dim**n > DEFAULT_BUDGET:
+        raise BudgetExceeded(algebra.dim**n, DEFAULT_BUDGET)
     coeffs = list(theta.terms.values())
-    products = _word_evaluator(_table_columns(algebra), [perm.seq for perm in theta.terms])
+    products = _word_evaluator(algebra.columns, [perm.seq for perm in theta.terms])
     for tup in product(range(algebra.dim), repeat=n):
         found = products(tup)
         if _combine({w: coeffs[w] for w in found}, found):

@@ -25,6 +25,7 @@ from .freealg import (
     poly_to_operad,
 )
 from .ideals import (
+    CACHE_SUFFIX,
     DEFAULT_BUDGET,
     GeneratorSet,
     codimension,
@@ -39,8 +40,6 @@ from .ideals import (
     verify_ideal_closure,
 )
 from .operad import format_element, full_compose, parse_element, partial_compose
-
-CACHE_SUFFIX = ".opideal"
 
 
 def _load_text(value: str) -> str:

@@ -38,7 +38,7 @@ from itertools import combinations_with_replacement, count, groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebras import DEFAULT_BUDGET, StructureAlgebra, _table_columns, _word_evaluator
+from .algebras import DEFAULT_BUDGET, BudgetExceeded, StructureAlgebra, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
 from .linalg import RowBasis, _integral, parse_number
 from .operad import (
@@ -91,19 +91,9 @@ UNITAL = "unital"
 NONUNITAL = "nonunital"
 
 CACHE_MAGIC = "OPIDEAL v1"
+CACHE_SUFFIX = ".opideal"
 # The largest arity a slice file may declare: 10! = 3,628,800 columns.
 MAX_SLICE_ARITY = 10
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested exhaustive enumeration is larger than the budget."""
-
-    def __init__(self, needed: int, budget: int) -> None:
-        super().__init__(
-            f"enumeration needs {needed} tuple evaluations, budget is {budget}"
-        )
-        self.needed = needed
-        self.budget = budget
 
 
 class GeneratorSet:
@@ -528,7 +518,6 @@ def _evaluation_rows(
     pattern, a, j and the coefficient of every arrangement).  Everything
     per pattern lives for one call.
     """
-    columns = _table_columns(algebra)
     # The index of the unit if it is a basis vector, else None.
     unit_entries = algebra.unit.entries
     unit = next(iter(unit_entries)) if list(unit_entries.values()) == [1] else None
@@ -555,7 +544,7 @@ def _evaluation_rows(
         entry = by_pattern.get(pattern)
         if entry is None:
             reps, cls = arrangement_classes(pattern)
-            entry = by_pattern[pattern] = (_word_evaluator(columns, reps), cls, len(reps))
+            entry = by_pattern[pattern] = (_word_evaluator(algebra.columns, reps), cls, len(reps))
         products, cls, classes = entry
         lift = cls if not j else lifts.get((pattern, a, j))
         if lift is None:
@@ -746,7 +735,7 @@ def generator_set_hash(gens: GeneratorSet) -> str:
 
 
 def slice_cache_path(cache_dir: str | Path, gens: GeneratorSet, arity: int) -> Path:
-    return Path(cache_dir) / f"{generator_set_hash(gens)}-{gens.mode}-n{arity}.opideal"
+    return Path(cache_dir) / f"{generator_set_hash(gens)}-{gens.mode}-n{arity}{CACHE_SUFFIX}"
 
 
 def save_slice_file(path: str | Path, slice_: IdealSlice, mode: str) -> None:

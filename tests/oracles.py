@@ -41,7 +41,7 @@ from oplab import (
     full_compose,
     to_vector,
 )
-from oplab.algebras import _table_columns, _word_evaluator
+from oplab.algebras import _word_evaluator
 
 # Dual numbers in the basis {1, f = 1 + t}: f * f = -1 + 2f has two
 # coordinates.
@@ -233,7 +233,7 @@ def table_product(
     out: dict[int, Fraction] = {}
     for a, xa in x.items():
         for b, yb in y.items():
-            for c, t in table[a][b].entries.items():
+            for c, t in table[a][b].items():
                 out[c] = out.get(c, Fraction(0)) + xa * yb * t
     return {c: v for c, v in out.items() if v}
 
@@ -298,7 +298,7 @@ def identities_slice_reference(algebra: StructureAlgebra, n: int) -> RowBasis:
         tuples = combinations_with_replacement(range(algebra.dim), n)
     fact_n = math.factorial(n)
     # In lex order a word's index in the trie is the permutation index si.
-    products = _word_evaluator(_table_columns(algebra), [p.seq for p in all_permutations(n)])
+    products = _word_evaluator(algebra.columns, [p.seq for p in all_permutations(n)])
     rows = RowBasis(fact_n)
     seen: set[tuple] = set()
     for tup in tuples:

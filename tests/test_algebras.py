@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -36,6 +37,7 @@ from oracles import (
     DUAL_SHIFTED,
     M2_UNIT_SPLIT,
     is_associative_reference,
+    table_product,
     triple_associates,
     unit_law_holds,
 )
@@ -84,6 +86,120 @@ def test_unit_laws_and_element_arithmetic():
         assert m2.unit_element() * a == a
         assert (a + b) * c == a * c + b * c
         assert a * (b + c) == a * b + a * c
+
+
+BUILDERS = {
+    "M_1": lambda: matrix_algebra(1),
+    "M_2": lambda: matrix_algebra(2),
+    "M_3": lambda: matrix_algebra(3),
+    "E_0": lambda: grassmann_algebra(0),
+    "E_1": lambda: grassmann_algebra(1),
+    "E_2": lambda: grassmann_algebra(2),
+    "E_3": lambda: grassmann_algebra(3),
+    "E_4": lambda: grassmann_algebra(4),
+    "E_6": lambda: grassmann_algebra(6),
+    "M_2+E_2": lambda: direct_sum([matrix_algebra(2), grassmann_algebra(2)]),
+    "M_2xE_1": lambda: tensor_product(matrix_algebra(2), grassmann_algebra(1)),
+    "E_1xE_1": lambda: tensor_product(grassmann_algebra(1), grassmann_algebra(1)),
+    "dual shifted": lambda: algebra_from_spec(DUAL_SHIFTED),
+    "M_2 unit split": lambda: algebra_from_spec(M2_UNIT_SPLIT),
+}
+
+# sha256 of each builder's canonical text (`canonical_text`), recorded when
+# the builders still wrote their tables as SparseVectors.
+BUILDER_HASHES = {
+    "M_1": "372297b1a01e781247cef6f1d9531e6c7b1d76104773cee85912cd9b0a79aed1",
+    "M_2": "95a0f03fbadc6974badeab3a67616171cc14acc9d2876e19bd14f497124bedb9",
+    "M_3": "032d53171fca21f71ba7b0a0b0a5f5d084d4227e91406ff9a378972775981885",
+    "E_0": "d5439d94523ea612df4643e72ef5550fdf91d3786a8ae839a742afb66264d947",
+    "E_1": "7b6af850d85bb92beff5bbc81e10156d69dd9f4c57654da70f0943e7ee79955c",
+    "E_2": "d4585ab05d908c648867391f7069a20b94b2e06f3d54ce520dca399ac074c308",
+    "E_3": "c510ce975423275375cb957b95b701cddc8ff2280c6808693c070552803f5ad8",
+    "E_4": "cafc97de1fbbcc537497ceef7b2df9832f95493e5e559120d5cfa6a3f886f55e",
+    "E_6": "093d7f6f39232620d6f47490e766eac2009d0b5524883b40f55562f9b07a6fc1",
+    "M_2+E_2": "057cf464c697b6e8f227b1d79961821bfeb398f21dfd95b41ceac26dc4e1d5d5",
+    "M_2xE_1": "891bac5ba1770fa0ca6643e2cb85130a5cba6567f128a53f7f15cf0c02f2fc4a",
+    "E_1xE_1": "0945d958b588999179c36509b692360a77c4dc8b4fd4bec083fb66d72be023ba",
+    "dual shifted": "20ffdf1681af9f11c63a9dcc99d6e52973d47580d396f90204de61f48b47aaa7",
+    "M_2 unit split": "0f5db85bf6c9a0b4ee523f5d598df25f8aeb3e46f6902c206c214a0cac78a93d",
+}
+
+
+def canonical_text(algebra):
+    """The labels, one line per table entry (row by row) of its sorted
+    (coordinate, "p/q") pairs, and the unit's pairs."""
+
+    def pairs(coords):
+        return " ".join(f"{k}:{c.numerator}/{c.denominator}" for k, c in sorted(coords.items()))
+
+    lines = [" ".join(algebra.labels)]
+    lines += [pairs(entry) for row in algebra.table for entry in row]
+    lines.append(pairs(algebra.unit.entries))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_builders_write_the_recorded_tables(name):
+    text = canonical_text(BUILDERS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_HASHES[name]
+
+
+def test_multiply_coords_matches_table_product():
+    # element products against the triple loop over the table, on random
+    # elements with a few nonzero Fraction coordinates
+    rng = random.Random(13)
+    for build in BUILDERS.values():
+        algebra = build()
+        for _ in range(20):
+            a, b = (
+                {
+                    i: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for i in rng.sample(range(algebra.dim), min(algebra.dim, rng.randint(1, 4)))
+                }
+                for _ in range(2)
+            )
+            product = algebra.multiply_coords(
+                SparseVector(algebra.dim, a), SparseVector(algebra.dim, b)
+            )
+            assert product.entries == table_product(algebra.table, a, b)
+            assert all(c.__class__ is Fraction for c in product.entries.values())
+
+
+def test_constructor_normalizes_table_entries():
+    # basis {1, f} with f f = 3 f; entries given as maps, zeros included
+    one = SparseVector(2, {0: 1})
+    algebra = StructureAlgebra(
+        ["1", "f"],
+        [[{0: 1}, {1: 1}], [SparseVector(2, {1: 1}), {0: 0, 1: Fraction(3, 1)}]],
+        one,
+    )
+    assert algebra.table == [[{0: 1}, {1: 1}], [{1: 1}, {1: 3}]]
+    assert algebra.table[1][1][1].__class__ is int
+    assert algebra.table[0][1] is algebra.table[1][0]
+    # the dual numbers, t t = 0 given as a zero value
+    dual = StructureAlgebra(["1", "t"], [[{0: 1}, {1: 1}], [{1: 1}, {1: 0}]], one)
+    assert dual.table[1][1] == {}
+    for bad in ({2: 1}, {-1: 1}):
+        with pytest.raises(AlgebraError, match="out of range"):
+            StructureAlgebra(["1", "t"], [[{0: 1}, {1: 1}], [{1: 1}, bad]], one)
+    with pytest.raises(AlgebraError, match="algebra dimension"):
+        StructureAlgebra(["1", "t"], [[{0: 1}, {1: 1}], [{1: 1}, SparseVector(3)]], one)
+
+
+def test_builders_make_no_vector_per_entry(monkeypatch):
+    # an exterior algebra's table is written as plain maps: the only
+    # SparseVector made while E_6 builds is its unit
+    made = []
+    real = SparseVector.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseVector, "__init__", counting)
+    algebras.grassmann_algebra.__wrapped__(6)
+    monkeypatch.undo()
+    assert len(made) <= 1
 
 
 def test_non_associative_table_rejected():
@@ -160,7 +276,7 @@ def perturbed_table(rng, algebra):
     in up to two entries: a coordinate moved, two entries swapped or an
     entry cleared.  Most changes avoid the entries the unit laws read."""
     dim = algebra.dim
-    table = [[dict(vec.entries) for vec in row] for row in algebra.table]
+    table = [[dict(entry) for entry in row] for row in algebra.table]
     unit = dict(algebra.unit.entries)
     if rng.random() < 1 / 3:
         s = [Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])) for _ in range(dim)]
@@ -226,8 +342,7 @@ def test_light_test_on_a_square_zero_extension():
 
     one = SparseVector(dim, {0: 1})
     algebra = StructureAlgebra(labels, table_with({}), one)
-    rows = list(zip(*algebras._table_columns(algebra)))
-    assert algebras._light_generators(rows, {0: 1}) == [1, 2, 3, 4]
+    assert algebras._light_generators(algebra.table, {0: 1}) == [1, 2, 3, 4]
     assert build_verdict(labels, table_with({}), one) == "accepted"
     # v1 v2 = v3 stays associative; v1 v2 = v1 fails on (v1, v2, v2)
     assert build_verdict(labels, table_with({(1, 2): {3: 1}}), one) == "accepted"
@@ -241,12 +356,11 @@ def test_light_test_finds_a_defect_between_two_non_generators():
     # instead of 0, is a product of two non-generators; it surfaces in a
     # triple whose middle factor is a generator
     e3 = grassmann_algebra(3)
-    rows = list(zip(*algebras._table_columns(e3)))
-    generators = algebras._light_generators(rows, {0: 1})
+    generators = algebras._light_generators(e3.table, {0: 1})
     assert [e3.labels[j] for j in generators] == ["e1", "e2", "e3"]
     table = [list(row) for row in e3.table]
     e12, e13, e123 = (e3.labels.index(x) for x in ("e12", "e13", "e123"))
-    assert table[e12][e13].is_zero()
+    assert not table[e12][e13]
     table[e12][e13] = SparseVector(e3.dim, {e123: 1})
     assert build_verdict(e3.labels, table, e3.unit) == "associativity"
     with pytest.raises(AlgebraError) as info:
@@ -270,12 +384,12 @@ def test_light_test_checks_few_triples(monkeypatch):
     monkeypatch.setattr(algebras, "_combine", counting)
     e6 = algebras.grassmann_algebra.__wrapped__(6)
     monkeypatch.undo()
-    columns = {id(column) for column in algebras._table_columns(e6)}
+    columns = {id(column) for column in e6.columns}
     # less the dim products of the left unit law
     triples = sum(v in columns for v in seen) - e6.dim
     assert 0 < triples <= 6 * 64**2
-    rows = list(zip(*algebras._table_columns(matrix_algebra(5))))
-    assert len(algebras._light_generators(rows, matrix_algebra(5).unit.entries)) == 9
+    m5 = matrix_algebra(5)
+    assert len(algebras._light_generators(m5.table, m5.unit.entries)) == 9
 
 
 def test_algebra_from_spec_round_trip():
@@ -541,6 +655,21 @@ def test_is_identity_examples():
     assert is_identity(st4, m2)
 
 
+def test_is_identity_charges_the_tuples_to_the_budget():
+    # dim^n tuples against DEFAULT_BUDGET: 4^11 fits, 4^12 does not
+    import oplab
+    import oplab.ideals
+
+    assert oplab.BudgetExceeded is oplab.ideals.BudgetExceeded is algebras.BudgetExceeded
+    m2 = matrix_algebra(2)
+    assert 4**11 <= algebras.DEFAULT_BUDGET < 4**12
+    with pytest.raises(algebras.BudgetExceeded) as refused:
+        is_identity(parse_poly("*".join(f"x{i}" for i in range(1, 13))), m2)
+    assert (refused.value.needed, refused.value.budget) == (4**12, algebras.DEFAULT_BUDGET)
+    # at 4^11 the walk starts, and stops at the first nonzero product
+    assert not is_identity(parse_poly("*".join(f"x{i}" for i in range(1, 12))), m2)
+
+
 def test_is_identity_exhibits_witness_for_st3():
     # exhaustive search over basis triples finds a nonvanishing tuple
     from itertools import product as iproduct
@@ -635,14 +764,14 @@ def test_is_identity_matches_brute_force_evaluation():
 
 def test_word_evaluator_matches_evaluate():
     # every word's product, coordinate by coordinate, on random tuples
-    from oplab.algebras import _table_columns, _word_evaluator
+    from oplab.algebras import _word_evaluator
 
     rng = random.Random(42)
     for algebra in _kernel_algebras():
         basis = [algebra.basis_element(i) for i in range(algebra.dim)]
         for n in range(1, 5):
             words = [p.seq for p in _random_theta(rng, n, 5).terms]
-            products = _word_evaluator(_table_columns(algebra), words)
+            products = _word_evaluator(algebra.columns, words)
             for _ in range(20):
                 tup = [rng.randrange(algebra.dim) for _ in range(n)]
                 args = [basis[i] for i in tup]

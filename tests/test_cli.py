@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -306,6 +307,21 @@ def test_budget_error_is_structured(capsys):
     )
     assert code == 1
     assert payload["error"]["type"] == "BudgetExceeded"
+
+
+def test_check_identity_refuses_too_many_tuples(capsys):
+    # 9^12 basis tuples: refused before any is evaluated
+    poly = "*".join(f"x{i}" for i in range(1, 13)) + " - x2*x1*" + "*".join(
+        f"x{i}" for i in range(3, 13)
+    )
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "check-identity", "--poly", poly, "--algebra", '{"type":"matrix","k":3}'
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"]["type"] == "BudgetExceeded"
+    assert str(9**12) in payload["error"]["message"]
 
 
 def test_usage_error_exit_code(capsys):

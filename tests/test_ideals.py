@@ -59,7 +59,6 @@ from oplab import (
     to_vector,
     verify_ideal_closure,
 )
-from oplab.algebras import _table_columns
 from oracles import (
     DUAL_SHIFTED,
     M2_UNIT_SPLIT,
@@ -441,15 +440,12 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("build", [c[1] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES])
 def test_table_columns_are_built_once_from_the_table(build):
-    # the stored integer table is the table read column by column, with
-    # integral entries as ints, and every call returns that one table
+    # the columns hold the table's own dicts, and every integral value is
+    # stored as an int
     algebra = build()
-    columns = _table_columns(algebra)
-    assert columns is _table_columns(algebra)
-    fresh = [[row[j].entries for row in algebra.table] for j in range(algebra.dim)]
-    assert columns == fresh
-    for column in columns:
-        for entry in column:
+    for i, row in enumerate(algebra.table):
+        for j, entry in enumerate(row):
+            assert algebra.columns[j][i] is entry
             for value in entry.values():
                 assert value.__class__ is (int if value.denominator == 1 else Fraction)
 

@@ -1,6 +1,6 @@
 """Every command of the README's CLI block, run through cli.main in README
 order: stdout must stay byte for byte what readme_cli.golden records, one
-line per command."""
+line per command.  The README's library block must run as written."""
 
 import shlex
 from pathlib import Path
@@ -11,9 +11,14 @@ TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "readme_cli.golden"
 
 
-def readme_commands():
+def readme_block(section: str, language: str) -> str:
     readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    body = readme.split(f"\n## {section}\n", 1)[1]
+    return body.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_commands():
+    block = readme_block("CLI", "sh")
     return [shlex.split(line, comments=True) for line in block.splitlines()]
 
 
@@ -29,3 +34,8 @@ def test_readme_cli_stdout_is_unchanged(capsys, monkeypatch, tmp_path):
         assert main(argv) == 0, argv
         outputs.append(capsys.readouterr().out)
     assert outputs == GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def test_readme_library_block_runs():
+    # a public name renamed or dropped fails here
+    exec(readme_block("Library entry points", "python"), {})
