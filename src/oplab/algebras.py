@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .freealg import NcPoly, format_poly, multilinearize, poly_to_operad
+from .freealg import NcPoly, format_poly, multilinearize, operad_to_poly, poly_to_operad
 from .linalg import RowBasis, SparseVector, as_fraction, format_rational
 from .operad import OperadElement
 
@@ -411,15 +411,7 @@ def evaluate(theta: OperadElement, args: Sequence[AlgebraElement]) -> AlgebraEle
                 raise AlgebraError("evaluation arguments must share one algebra")
     else:
         raise AlgebraError("evaluation of arity-0 elements needs an algebra")
-    accum = SparseVector(algebra.dim)
-    for perm, coeff in theta.terms.items():
-        prod = args[perm.seq[0] - 1].coords
-        for v in perm.seq[1:]:
-            prod = algebra.multiply_coords(prod, args[v - 1].coords)
-            if not prod.entries:
-                break
-        accum = accum.add(prod.scale(coeff))
-    return AlgebraElement(algebra, accum)
+    return evaluate_poly(operad_to_poly(theta), dict(enumerate(args, 1)), algebra)
 
 
 def evaluate_nullary(theta: OperadElement, algebra: StructureAlgebra) -> AlgebraElement:
@@ -455,6 +447,8 @@ def _combine(
     coords: Mapping[int, Fraction], vecs: Sequence[Mapping[int, Fraction]]
 ) -> dict[int, Fraction]:
     """Coordinates of sum_l coords[l] * vecs[l], zeros dropped."""
+    # The evaluation kernel's inner step, summed inline: through
+    # linalg.accumulate it ran 1.7-1.8x slower (E_6, M_2, M_3).
     accum: dict[int, Fraction] = {}
     for l, c in coords.items():
         for k, d in vecs[l].items():

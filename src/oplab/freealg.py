@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator, Mapping
 
-from .linalg import as_fraction, format_rational
+from .linalg import accumulate, as_fraction, format_sum
 from .operad import OperadElement
 from .perms import ArityMismatch, Permutation
 
@@ -63,17 +63,15 @@ class NcPoly:
         | Iterable[tuple[Word, Fraction | int | str]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Word, Fraction] = {}
-        for word, raw in items:
-            word = tuple(word)
-            if any(v < 1 for v in word):
-                raise ValueError(f"variable indices must be >= 1, got {word}")
-            value = clean.get(word, Fraction(0)) + as_fraction(raw)
-            if value:
-                clean[word] = value
-            else:
-                clean.pop(word, None)
-        self.terms = clean
+
+        def checked():
+            for word, raw in items:
+                word = tuple(word)
+                if any(v < 1 for v in word):
+                    raise ValueError(f"variable indices must be >= 1, got {word}")
+                yield word, as_fraction(raw)
+
+        self.terms = accumulate(checked())
 
     @classmethod
     def zero(cls) -> "NcPoly":
@@ -121,15 +119,8 @@ class NcPoly:
         return None
 
     def add(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self.terms)
-        for word, value in other.terms.items():
-            s = out.get(word, Fraction(0)) + value
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
         result = NcPoly()
-        result.terms = out
+        result.terms = accumulate(other.terms.items(), self.terms)
         return result
 
     def sub(self, other: "NcPoly") -> "NcPoly":
@@ -143,17 +134,12 @@ class NcPoly:
         return result
 
     def mul(self, other: "NcPoly") -> "NcPoly":
-        accum: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                value = accum.get(word, Fraction(0)) + c1 * c2
-                if value:
-                    accum[word] = value
-                else:
-                    accum.pop(word, None)
         result = NcPoly()
-        result.terms = accum
+        result.terms = accumulate(
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
         return result
 
     def pow(self, exponent: int) -> "NcPoly":
@@ -191,21 +177,9 @@ class NcPoly:
 
 def format_poly(poly: NcPoly) -> str:
     """Canonical text; variable terms always carry an explicit coefficient."""
-    if not poly.terms:
-        return "0"
-    parts: list[str] = []
-    for word in sorted(poly.terms):
-        coeff = poly.terms[word]
-        magnitude = format_rational(abs(coeff))
-        if word:
-            body = magnitude + "*" + "*".join(f"x{v}" for v in word)
-        else:
-            body = magnitude
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(parts)
+    return format_sum(
+        (poly.terms[word], "".join(f"*x{v}" for v in word)) for word in sorted(poly.terms)
+    )
 
 
 class _Parser:
@@ -410,26 +384,21 @@ def _polarize(poly: NcPoly, variable: int, fresh_start: int) -> tuple[NcPoly, in
     """Replace the d occurrences of `variable` (same d in every term of a
     multihomogeneous component) by d fresh variables, summed over all d!
     assignments.  Returns the new polynomial and the next unused index."""
-    degree = None
-    accum: dict[Word, Fraction] = {}
-    for word, coeff in poly.terms.items():
-        positions = [i for i, v in enumerate(word) if v == variable]
-        if degree is None:
-            degree = len(positions)
-        fresh = list(range(fresh_start, fresh_start + len(positions)))
-        for assignment in _itertools_permutations(fresh):
-            new_word = list(word)
-            for pos, fresh_var in zip(positions, assignment):
-                new_word[pos] = fresh_var
-            key = tuple(new_word)
-            value = accum.get(key, Fraction(0)) + coeff
-            if value:
-                accum[key] = value
-            else:
-                accum.pop(key, None)
+    degree = next(iter(poly.terms), ()).count(variable)
+
+    def polarized():
+        for word, coeff in poly.terms.items():
+            positions = [i for i, v in enumerate(word) if v == variable]
+            fresh = range(fresh_start, fresh_start + len(positions))
+            for assignment in _itertools_permutations(fresh):
+                new_word = list(word)
+                for pos, fresh_var in zip(positions, assignment):
+                    new_word[pos] = fresh_var
+                yield tuple(new_word), coeff
+
     result = NcPoly()
-    result.terms = accum
-    return result, fresh_start + (degree or 0)
+    result.terms = accumulate(polarized())
+    return result, fresh_start + degree
 
 
 def _renumber_by_first_occurrence(poly: NcPoly) -> NcPoly:

@@ -21,8 +21,10 @@ __all__ = [
     "DimensionMismatch",
     "RowBasis",
     "SparseVector",
+    "accumulate",
     "as_fraction",
     "format_rational",
+    "format_sum",
     "kernel_basis",
     "parse_number",
     "parse_rational",
@@ -76,6 +78,37 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def accumulate(pairs: Iterable[tuple], start: Mapping | None = None) -> dict:
+    """A fresh map of the per-key sums of start's items, then of the (key,
+    value) pairs: keys whose sum is zero are dropped, the others keep the
+    order of their first occurrence.  start must hold no zero value (no
+    stored ``entries`` or ``terms`` map does) and is not mutated."""
+    sums = {} if start is None else dict(start)
+    get = sums.get
+    for key, value in pairs:
+        value = get(key, 0) + value
+        if value:
+            sums[key] = value
+        else:
+            sums.pop(key, None)
+    return sums
+
+
+def format_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Canonical text of (coefficient, suffix) terms, each written as its
+    magnitude (format_rational) then its suffix: a leading "-" is glued to
+    the first term and later terms are joined by " + " or " - "; "0" if
+    there are none."""
+    parts = [
+        f"{'+' if coeff > 0 else '-'} {format_rational(abs(coeff))}{suffix}"
+        for coeff, suffix in terms
+    ]
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 class SparseVector:
     """Sparse vector of a fixed dimension; zero entries are never stored."""
 
@@ -89,19 +122,15 @@ class SparseVector:
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
         items = entries.items() if isinstance(entries, Mapping) else entries
-        clean: dict[int, Fraction] = {}
-        for index, raw in items:
-            if not 0 <= index < dimension:
-                raise DimensionMismatch(
-                    f"index {index} out of range for dimension {dimension}"
-                )
-            value = clean.get(index, ZERO) + as_fraction(raw)
-            if value:
-                clean[index] = value
-            else:
-                clean.pop(index, None)
+
+        def checked():
+            for index, raw in items:
+                if not 0 <= index < dimension:
+                    raise DimensionMismatch(f"index {index} out of range for dimension {dimension}")
+                yield index, as_fraction(raw)
+
         self.dimension = dimension
-        self.entries = clean
+        self.entries = accumulate(checked())
 
     @classmethod
     def from_dense(cls, values: Iterable[Fraction | int | str]) -> "SparseVector":
@@ -123,15 +152,8 @@ class SparseVector:
 
     def add(self, other: "SparseVector") -> "SparseVector":
         self._check(other)
-        merged = dict(self.entries)
-        for i, v in other.entries.items():
-            s = merged.get(i, ZERO) + v
-            if s:
-                merged[i] = s
-            else:
-                merged.pop(i, None)
         out = SparseVector(self.dimension)
-        out.entries = merged
+        out.entries = accumulate(other.entries.items(), self.entries)
         return out
 
     def sub(self, other: "SparseVector") -> "SparseVector":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import SparseVector, as_fraction, format_rational, parse_rational
+from .linalg import SparseVector, accumulate, as_fraction, format_sum, parse_rational
 from .perms import (
     ArityMismatch,
     Permutation,
@@ -53,19 +53,17 @@ class OperadElement:
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Permutation, Fraction] = {}
-        for perm, raw in items:
-            if perm.arity != arity:
-                raise ArityMismatch(
-                    f"term {perm} has arity {perm.arity}, element has arity {arity}"
-                )
-            value = clean.get(perm, Fraction(0)) + as_fraction(raw)
-            if value:
-                clean[perm] = value
-            else:
-                clean.pop(perm, None)
+
+        def checked():
+            for perm, raw in items:
+                if perm.arity != arity:
+                    raise ArityMismatch(
+                        f"term {perm} has arity {perm.arity}, element has arity {arity}"
+                    )
+                yield perm, as_fraction(raw)
+
         self.arity = arity
-        self.terms = clean
+        self.terms = accumulate(checked())
 
     @classmethod
     def zero(cls, arity: int) -> "OperadElement":
@@ -91,15 +89,8 @@ class OperadElement:
 
     def add(self, other: "OperadElement") -> "OperadElement":
         self._check(other)
-        out = dict(self.terms)
-        for perm, value in other.terms.items():
-            s = out.get(perm, Fraction(0)) + value
-            if s:
-                out[perm] = s
-            else:
-                out.pop(perm, None)
         result = OperadElement(self.arity)
-        result.terms = out
+        result.terms = accumulate(other.terms.items(), self.terms)
         return result
 
     def sub(self, other: "OperadElement") -> "OperadElement":
@@ -148,22 +139,16 @@ def full_compose(theta: OperadElement, parts: Sequence[OperadElement]) -> Operad
         raise ArityMismatch(
             f"expected {theta.arity} parts, got {len(parts)}"
         )
-    result_arity = sum(p.arity for p in parts)
-    accum: dict[Permutation, Fraction] = {}
     part_items = [list(p.terms.items()) for p in parts]
-    for outer, outer_coeff in theta.terms.items():
-        for combo in product(*part_items):
-            perm = block_compose(outer, [perm for perm, _ in combo])
-            coeff = outer_coeff
-            for _, c in combo:
-                coeff *= c
-            value = accum.get(perm, Fraction(0)) + coeff
-            if value:
-                accum[perm] = value
-            else:
-                accum.pop(perm, None)
-    result = OperadElement(result_arity)
-    result.terms = accum
+    result = OperadElement(sum(p.arity for p in parts))
+    result.terms = accumulate(
+        (
+            block_compose(outer, [perm for perm, _ in combo]),
+            math.prod((c for _, c in combo), start=coeff),
+        )
+        for outer, coeff in theta.terms.items()
+        for combo in product(*part_items)
+    )
     return result
 
 
@@ -217,17 +202,10 @@ def standard_polynomial(arity: int) -> OperadElement:
 
 def format_element(theta: OperadElement) -> str:
     """Canonical text: "c1*(seq1) + c2*(seq2)" in lexicographic seq order."""
-    if not theta.terms:
-        return "0"
-    parts: list[str] = []
-    for perm in sorted(theta.terms, key=lambda p: p.seq):
-        coeff = theta.terms[perm]
-        body = f"{format_rational(abs(coeff))}*{format_permutation(perm)}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(parts)
+    return format_sum(
+        (theta.terms[perm], "*" + format_permutation(perm))
+        for perm in sorted(theta.terms, key=lambda p: p.seq)
+    )
 
 
 _TERM_RE = re.compile(

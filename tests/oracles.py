@@ -14,7 +14,9 @@ entries that the primitive-integer `oplab.RowBasis` replaced;
 tuple, where `oplab.identities_slice` evaluates one word per arrangement
 of each tuple's unit-free core; and `saturate_under_action_reference`,
 the last-in-first-out closure that translated echelon rows, which the
-sparse best-first closure in `oplab.ideals` replaced.  The module also
+sparse best-first closure in `oplab.ideals` replaced; and
+`format_element_reference` and `format_poly_reference`, the two
+sign-joining printers that `oplab.linalg.format_sum` replaced.  The module also
 holds two test algebras whose tables are not monomial, and
 `is_associative_reference`, the plain check of every basis triple that
 Light's test in `oplab.StructureAlgebra` replaced.
@@ -38,6 +40,8 @@ from oplab import (
     StructureAlgebra,
     SparseVector,
     all_permutations,
+    format_permutation,
+    format_rational,
     full_compose,
     to_vector,
 )
@@ -431,3 +435,37 @@ class FractionRowBasis:
         if not isinstance(other, FractionRowBasis):
             return NotImplemented
         return self.dimension == other.dimension and self._rows == other._rows
+
+
+def format_element_reference(theta: OperadElement) -> str:
+    """Canonical text: "c1*(seq1) + c2*(seq2)" in lexicographic seq order."""
+    if not theta.terms:
+        return "0"
+    parts: list[str] = []
+    for perm in sorted(theta.terms, key=lambda p: p.seq):
+        coeff = theta.terms[perm]
+        body = f"{format_rational(abs(coeff))}*{format_permutation(perm)}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
+    return " ".join(parts)
+
+
+def format_poly_reference(poly: NcPoly) -> str:
+    """Canonical text; variable terms always carry an explicit coefficient."""
+    if not poly.terms:
+        return "0"
+    parts: list[str] = []
+    for word in sorted(poly.terms):
+        coeff = poly.terms[word]
+        magnitude = format_rational(abs(coeff))
+        if word:
+            body = magnitude + "*" + "*".join(f"x{v}" for v in word)
+        else:
+            body = magnitude
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
+    return " ".join(parts)

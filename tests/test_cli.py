@@ -324,6 +324,18 @@ def test_check_identity_refuses_too_many_tuples(capsys):
     assert str(9**12) in payload["error"]["message"]
 
 
+def test_ideal_dim_refuses_slices_wider_than_the_budget(capsys):
+    # 11! = 39,916,800 coordinates for spanning at n = 11, and 0! + ... + 11!
+    # in the closure window of n = 9 with headroom 2: both above 10^7
+    for args in (("--n", "11"), ("--n", "9", "--algorithm", "closure", "--headroom", "2")):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert payload["error"]["type"] == "BudgetExceeded"
+        assert "tuple evaluations" not in payload["error"]["message"]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

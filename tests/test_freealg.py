@@ -17,6 +17,7 @@ from oplab import (
     act,
     act_poly,
     all_permutations,
+    format_element,
     format_poly,
     grassmann_algebra,
     identity,
@@ -28,7 +29,13 @@ from oplab import (
     partial_compose,
     poly_to_operad,
 )
-from oracles import poly_substitute, substitute_all_slots, substitute_slot
+from oracles import (
+    format_element_reference,
+    format_poly_reference,
+    poly_substitute,
+    substitute_all_slots,
+    substitute_slot,
+)
 
 
 def test_parse_commutator():
@@ -98,6 +105,28 @@ def test_print_parse_print_fixed_point(f):
     text = format_poly(f)
     assert parse_poly(text) == f
     assert format_poly(parse_poly(text)) == text
+
+
+elements = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(all_permutations(n)),
+        st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4),
+        max_size=8,
+    ).map(lambda terms: OperadElement(n, terms))
+)
+
+
+@given(elements, polys)
+@example(OperadElement(3), NcPoly())
+@example(
+    OperadElement(0, {identity(0): Fraction(-5, 2)}),
+    NcPoly({(): -3, (1, 2): Fraction(1, 2), (2, 1): 4}),
+)
+@example(OperadElement(2, {identity(2): 7}), NcPoly({(): Fraction(7, 3), (1,): -1}))
+@settings(max_examples=200, derandomize=True)
+def test_printers_match_the_reference(theta, f):
+    assert format_element(theta) == format_element_reference(theta)
+    assert format_poly(f) == format_poly_reference(f)
 
 
 def test_phi_examples():

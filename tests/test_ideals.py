@@ -1204,6 +1204,29 @@ def test_slices_above_the_cap_are_not_cached(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_spanning_refuses_above_the_budget_unless_the_slice_is_zero():
+    swap = Permutation((2, 1) + tuple(range(3, 13)))
+    theta = OperadElement(12, {identity(12): 1, swap: -1})
+    # nonunital, an arity-12 generator reaches nothing of arity 11
+    assert ideal_slice_spanning(GeneratorSet([theta], NONUNITAL), 11) == IdealSlice.zero(11)
+    with pytest.raises(BudgetExceeded) as refused:
+        ideal_slice_spanning(GeneratorSet([theta]), 11)
+    assert refused.value.needed == math.factorial(11)
+    assert refused.value.budget == ideals_module.DEFAULT_BUDGET
+    # 5000! has more digits than the interpreter converts to text
+    with pytest.raises(BudgetExceeded, match="5000!"):
+        ideal_slice_spanning(GeneratorSet([theta]), 5000)
+
+
+def test_closure_refuses_a_window_wider_than_the_budget():
+    commutator = GeneratorSet([poly_to_operad(parse_poly("x1*x2 - x2*x1"))])
+    with pytest.raises(BudgetExceeded) as refused:
+        ideal_slice_closure(commutator, 9, headroom=2)
+    assert refused.value.needed == sum(math.factorial(m) for m in range(12))
+    # a window that holds no generator builds nothing
+    assert ideal_slice_closure(GeneratorSet([]), 9, headroom=2) == IdealSlice.zero(9)
+
+
 @given(
     st.lists(
         st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=3), st.binary(max_size=4)),

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from oplab import (
     kernel_basis,
     parse_rational,
 )
+from oplab.linalg import accumulate
 from oracles import FractionRowBasis, dense_in_span, dense_kernel, dense_rank
 
 rationals = st.fractions(
@@ -21,6 +23,29 @@ rationals = st.fractions(
 
 def vec(dim, *pairs):
     return SparseVector(dim, dict(pairs))
+
+
+# Few keys and small values, so that sums often cancel.
+small_keys = st.integers(min_value=0, max_value=4)
+small_values = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 2]))
+
+
+@given(
+    st.lists(st.tuples(small_keys, small_values), max_size=12),
+    st.dictionaries(small_keys, small_values.filter(bool), max_size=4),
+)
+@settings(max_examples=300, derandomize=True)
+def test_accumulate_matches_a_reference_sum(pairs, start):
+    before = dict(start)
+    reference = defaultdict(Fraction)
+    for key, value in [*start.items(), *pairs]:
+        reference[key] += value
+    sums = accumulate(pairs, start)
+    assert sums == {key: value for key, value in reference.items() if value}
+    assert all(sums.values())
+    assert start == before
+    assert accumulate((pair for pair in pairs), start) == sums
+    assert accumulate(pairs) == accumulate(pairs, {})
 
 
 def test_rational_serialization():
