@@ -223,11 +223,30 @@ def _width_refusal(needed: int, what: str) -> BudgetExceeded:
     """The refusal of a computation whose `needed` coordinates exceed
     DEFAULT_BUDGET.  The message says what spans them (`what`) instead of
     counting tuple evaluations, and leaves `needed` out: from n = 1559
-    on, n! has more digits than the interpreter converts to text."""
+    on, n! has more digits than the interpreter converts to text.
+    Callers stop multiplying or summing at the first partial result over
+    the budget, so `needed` is a lower bound of the full width."""
     refusal = BudgetExceeded(0, DEFAULT_BUDGET)
     refusal.args = (f"{what}, more than the budget of {DEFAULT_BUDGET}",)
     refusal.needed = needed
     return refusal
+
+
+def _spanning_width(gens: GeneratorSet, n: int) -> int:
+    """n!, the width of the arity-n slice of the ideal that `gens`
+    generates.  Refuses when a generator reaches arity n (any arity in
+    unital mode, k <= n otherwise) and n! exceeds DEFAULT_BUDGET; the
+    product stops at the first partial product over the budget, so a
+    huge n is refused without forming n!."""
+    s_min = 0 if gens.mode == UNITAL else 1
+    if not any(s_min * theta.arity <= n for theta in gens.elements):
+        return math.factorial(n)
+    width = 1
+    for k in range(2, n + 1):
+        width *= k
+        if width > DEFAULT_BUDGET:
+            raise _width_refusal(width, f"a slice of arity {n} spans {n}! coordinates")
+    return width
 
 
 def _compositions(
@@ -270,9 +289,9 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int
     an index table S_k -> S_m, or for k > n term by term, and dropped if
     it cancels; the unit wrap is an injective shift of indices
     S_m -> S_n, one table per (r, t).  The order is m = n - r - t, then r.
+    The width n! is checked against the budget by `_spanning_width`.
     """
     s_min = 0 if gens.mode == UNITAL else 1
-    width = math.factorial(n)
     by_arity: dict[int, list[OperadElement]] = {}
     for theta in gens.elements:
         by_arity.setdefault(theta.arity, []).append(theta)
@@ -281,8 +300,6 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int
     for k, thetas in sorted(by_arity.items()):
         if s_min * k > n:
             continue
-        if width > DEFAULT_BUDGET:
-            raise _width_refusal(width, f"a slice of arity {n} spans {n}! coordinates")
         ordered = k > n
         if ordered:
             # Keyed by permutation: nothing of size k! is built.
@@ -349,7 +366,7 @@ def ideal_slice_spanning(
                 return cached
     if stats is not None:
         stats["cache_hit"] = False
-    basis = RowBasis(math.factorial(n))
+    basis = RowBasis(_spanning_width(gens, n))
     seeds = [vec for vec in _spanning_core_vectors(gens, n) if basis.insert(vec)]
     _saturate_under_action(basis, seeds)
     result = IdealSlice(n, basis)
@@ -369,7 +386,11 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
     """
     lo = 0 if gens.mode == UNITAL else 1
     unital = gens.mode == UNITAL
-    total_capacity = sum(math.factorial(m) for m in range(lo, hi + 1))
+    total_capacity = 0
+    for m in range(lo, hi + 1):
+        total_capacity += math.factorial(m)
+        if total_capacity > DEFAULT_BUDGET:
+            break
     if total_capacity > DEFAULT_BUDGET and any(lo <= t.arity <= hi for t in gens.elements):
         raise _width_refusal(
             total_capacity, f"the closure window spans {lo}! + ... + {hi}! coordinates"
@@ -747,10 +768,17 @@ def slices_equal(
 def generator_set_hash(gens: GeneratorSet) -> str:
     """Content hash of the sorted canonical generator texts: the full
     sha256 hex digest, the only link between a cache file and its
-    generator set."""
-    import hashlib  # only naming an entry needs it; the CLI starts without it
-
-    return hashlib.sha256(gens.canonical_text().encode("utf-8")).hexdigest()
+    generator set.  It comes from the interpreter's built-in SHA-256,
+    which loads no OpenSSL; hashlib gives the same digest and is the
+    fallback where neither built-in module exists."""
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
+    return sha256(gens.canonical_text().encode("utf-8")).hexdigest()
 
 
 def slice_cache_path(cache_dir: str | Path, gens: GeneratorSet, arity: int) -> Path:
@@ -822,9 +850,20 @@ def _row_entries(line: str, width: int) -> dict[int, int | Fraction]:
     return row
 
 
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """The lines of the UTF-8 file at `path` as str.splitlines() gives
+    them, read one line at a time.  splitlines also breaks at vertical
+    tab, form feed and other characters that file iteration does not, so
+    each read line is split again."""
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            yield from line.splitlines()
+
+
 def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[IdealSlice, str]:
     """Read a cached slice; its rows are checked to be canonical RREF and
-    adopted as the basis, without elimination.
+    adopted as the basis, without elimination.  The file is streamed a row
+    at a time: neither its text nor a list of its lines or rows is held.
 
     Every defect of the file raises ValueError, rows that are not canonical
     RREF (out of order, not reduced, a pivot entry other than 1) included.
@@ -834,12 +873,11 @@ def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[Idea
     Without `arity`, a file with no rows is trusted for its arity (the zero
     slice).
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if len(lines) < 2 or lines[0] != CACHE_MAGIC:
+    lines = _text_lines(path)
+    if next(lines, None) != CACHE_MAGIC:
         raise ValueError(f"{path}: not a slice cache file")
     header: dict[str, str] = {}
-    for chunk in lines[1].split():
+    for chunk in next(lines, "").split():
         key, _, value = chunk.partition("=")
         header[key] = value
     try:
@@ -856,7 +894,7 @@ def load_slice_file(path: str | Path, *, arity: int | None = None) -> tuple[Idea
         raise ValueError(f"{path}: arity {declared} outside 0..{MAX_SLICE_ARITY}")
     width = math.factorial(declared)
     try:
-        rows = [_row_entries(line, width) for line in lines[2:] if line.strip()]
+        rows = (_row_entries(line, width) for line in lines if line.strip())
         basis = RowBasis.from_rref(width, rows)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -16,7 +16,9 @@ of each tuple's unit-free core; and `saturate_under_action_reference`,
 the last-in-first-out closure that translated echelon rows, which the
 sparse best-first closure in `oplab.ideals` replaced; and
 `format_element_reference` and `format_poly_reference`, the two
-sign-joining printers that `oplab.linalg.format_sum` replaced.  The module also
+sign-joining printers that `oplab.linalg.format_sum` replaced; and
+`load_slice_file_reference`, the slice-cache reader that held the whole
+text and its lines, which the streaming `oplab.load_slice_file` replaced.  The module also
 holds two test algebras whose tables are not monomial, and
 `is_associative_reference`, the plain check of every basis triple that
 Light's test in `oplab.StructureAlgebra` replaced.
@@ -27,12 +29,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import oplab.ideals as ideals
 from oplab import (
     UNITAL,
     DimensionMismatch,
     GeneratorSet,
+    IdealSlice,
     NcPoly,
     OperadElement,
     Permutation,
@@ -469,3 +473,38 @@ def format_poly_reference(poly: NcPoly) -> str:
         else:
             parts.append(f"{'+' if coeff > 0 else '-'} {body}")
     return " ".join(parts)
+
+
+def load_slice_file_reference(path, *, arity=None) -> tuple[IdealSlice, str]:
+    """The slice-cache reader that reads the whole text, splits it into a
+    list of lines and parses every row before adopting them.  The text is
+    decoded as UTF-8, the encoding the streaming reader pins."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if len(lines) < 2 or lines[0] != ideals.CACHE_MAGIC:
+        raise ValueError(f"{path}: not a slice cache file")
+    header: dict[str, str] = {}
+    for chunk in lines[1].split():
+        key, _, value = chunk.partition("=")
+        header[key] = value
+    try:
+        declared = int(header["arity"])
+        dim = int(header["dim"])
+        mode = header["mode"]
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header") from exc
+    if header.get("order") != "lex":
+        raise ValueError(f"{path}: unsupported coordinate order")
+    if arity is not None and declared != arity:
+        raise ValueError(f"{path}: arity {declared}, expected {arity}")
+    if not 0 <= declared <= ideals.MAX_SLICE_ARITY:
+        raise ValueError(f"{path}: arity {declared} outside 0..{ideals.MAX_SLICE_ARITY}")
+    width = math.factorial(declared)
+    try:
+        rows = [ideals._row_entries(line, width) for line in lines[2:] if line.strip()]
+        basis = RowBasis.from_rref(width, rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if basis.rank != dim:
+        raise ValueError(f"{path}: declared dim {dim} but rank is {basis.rank}")
+    return IdealSlice(declared, basis), mode

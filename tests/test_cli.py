@@ -336,6 +336,55 @@ def test_ideal_dim_refuses_slices_wider_than_the_budget(capsys):
         assert "tuple evaluations" not in payload["error"]["message"]
 
 
+def test_ideal_dim_refuses_huge_arities_without_forming_n_factorial(capsys):
+    # the refusal stops at the first partial product (or sum) of n! over
+    # the budget: 10^6! or 0! + ... + 3002! is never formed
+    for args in (("--n", "1000000"), ("--n", "3000", "--algorithm", "closure")):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert payload["error"]["type"] == "BudgetExceeded"
+
+
+def test_cache_write_and_read_load_no_openssl(tmp_path):
+    # an ideal-dim call that writes a cache entry, then one that reads it,
+    # in one process: neither loads hashlib's OpenSSL module, and both
+    # print what they printed when the entry was named through hashlib
+    import hashlib
+    import subprocess
+    import sys
+
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from oplab.cli import main\n"
+        "outs = []\n"
+        "for _ in range(2):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        main(sys.argv[1:])\n"
+        "    outs.append([out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps([outs, sorted({'_hashlib', 'hashlib'} & set(sys.modules))]))\n"
+    )
+    polys = "x1*x2*x3-x2*x1*x3-x3*x1*x2+x3*x2*x1"
+    argv = ["ideal-dim", "--polys", polys, "--n", "5", "--cache-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, check=True
+    )
+    outs, loaded = json.loads(done.stdout)
+    assert loaded == []
+    expected = (
+        '{"command":"ideal-dim","params":{"algorithm":"spanning","cache_dir":'
+        + json.dumps(str(tmp_path))
+        + ',"headroom":2,"mode":"unital","n":5,"polys":"x1*x2*x3-x2*x1*x3-x3*x1*x2+x3*x2*x1"},'
+        '"result":{"ambient_dim":120,"arity":5,"dim":104},"version":"0.1.0"}\n'
+    )
+    assert [out for out, _ in outs] == [expected, expected]
+    assert ["cache_hit=False" in outs[0][1], "cache_hit=True" in outs[1][1]] == [True, True]
+    digest = hashlib.sha256(b"1*(1,2,3) - 1*(2,1,3) - 1*(3,1,2) + 1*(3,2,1)").hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == [f"{digest}-unital-n5.opideal"]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -456,8 +505,8 @@ def test_malformed_algebra_spec_is_a_structured_error(capsys, spec):
 
 
 def test_cli_import_leaves_out_dataclasses_and_hashlib():
-    # startup cost: the CLI needs neither, and hashlib is imported only to
-    # name a cache entry
+    # startup cost: the CLI needs neither; a cache entry is named with the
+    # interpreter's built-in SHA-256, not hashlib
     import subprocess
     import sys
 

@@ -1273,3 +1273,141 @@ def test_loader_fuzz_random_bytes(tmp_path_factory, data):
         except ValueError:
             continue
         assert slice_.dim == slice_.basis.rank
+
+
+def _loaded(reader, path, arity):
+    """What `reader` makes of the file: its (slice, mode), or ValueError."""
+    try:
+        return reader(path, arity=arity)
+    except ValueError:
+        return ValueError
+
+
+_BYTE_EDITS = st.tuples(
+    st.integers(min_value=0), st.integers(min_value=0, max_value=3), st.binary(max_size=4)
+)
+_TEXT_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["crlf", "cr", "chop"])),
+    st.tuples(
+        st.just("blank"), st.integers(min_value=0), st.sampled_from([b"\n", b" \n", b"\t\n", b"\r\n"])
+    ),
+    # characters that str.splitlines breaks at, and file iteration does not
+    st.tuples(
+        st.just("break"),
+        st.integers(min_value=0),
+        st.sampled_from([b"\x0b", b"\x0c", b"\x1c", b"\x1e", b"\xc2\x85", b"\xe2\x80\xa8"]),
+    ),
+    st.tuples(
+        st.just("bytes"),
+        st.integers(min_value=0),
+        st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xc3\x28", b"\xed\xa0\x80", b"\xf0\x9f"]),
+    ),
+)
+
+
+def _edit_file(data: bytearray, edit) -> None:
+    """Apply one edit: a byte edit of test_loader_fuzz_mutated_files, or a
+    text edit (CRLF or CR line ends, no final newline, a blank line at a
+    line end, a line-break character in place of a space or anywhere, or
+    bytes that are not UTF-8)."""
+    kind = edit[0]
+    if isinstance(kind, int):
+        position, kind, chunk = edit
+        at = position % (len(data) + 1)
+        if kind == 0:
+            data[at : at + len(chunk)] = chunk
+        elif kind == 1:
+            data[at:at] = chunk
+        elif kind == 2:
+            del data[at : at + 1 + len(chunk)]
+        else:
+            data[at:at] = b"9" * (1 + len(chunk))
+    elif kind in ("crlf", "cr"):
+        data[:] = data.replace(b"\n", b"\r\n" if kind == "crlf" else b"\r")
+    elif kind == "chop":
+        if data.endswith(b"\n"):
+            del data[-1:]
+    elif kind == "blank":
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")] or [len(data)]
+        at = ends[edit[1] % len(ends)]
+        data[at:at] = edit[2]
+    elif kind == "break":
+        spaces = [i for i, byte in enumerate(data) if byte == ord(" ")]
+        if spaces and edit[1] % 2:
+            at = spaces[edit[1] // 2 % len(spaces)]
+            data[at : at + 1] = edit[2]
+        else:
+            at = edit[1] % (len(data) + 1)
+            data[at:at] = edit[2]
+    else:
+        at = edit[1] % (len(data) + 1)
+        data[at:at] = edit[2]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    case=sparse_vector_sets(),
+    mode=st.sampled_from([UNITAL, NONUNITAL]),
+    edits=st.lists(st.one_of(_BYTE_EDITS, _TEXT_EDITS), max_size=4),
+)
+def test_streamed_loader_matches_the_reference(tmp_path_factory, case, mode, edits):
+    # the streamed reader against the one that held the whole text: on a
+    # valid file of arity 0..5, edited or not, both return the same slice
+    # and mode, or both raise ValueError
+    n, vectors = case
+    span = RowBasis(math.factorial(n))
+    for vec in vectors:
+        span.insert(vec)
+    path = tmp_path_factory.mktemp("stream") / "slice.opideal"
+    save_slice_file(path, IdealSlice(n, span), mode)
+    data = bytearray(path.read_bytes())
+    for edit in edits:
+        _edit_file(data, edit)
+    path.write_bytes(bytes(data))
+    for expected in (n, None):
+        assert _loaded(load_slice_file, path, expected) == _loaded(
+            oracles.load_slice_file_reference, path, expected
+        )
+    if not edits:
+        assert load_slice_file(path) == (IdealSlice(n, span), mode)
+
+
+def test_loading_the_arity_six_entry_holds_little_besides_the_basis(tmp_path):
+    # the reader streams the ~1 MB [[x1,x2],x3] entry: its peak is the
+    # basis it returns and one row, not the text, its lines and its rows
+    import tracemalloc
+
+    gens = GeneratorSet([poly_to_operad(TRIPLE_COMMUTATOR)])
+    path = slice_cache_path(tmp_path, gens, 6)
+    ideal_slice_spanning(gens, 6, cache_dir=tmp_path)
+    assert path.stat().st_size > 900_000
+    load_slice_file(path, arity=6)  # compile and cache what any load uses
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded, _ = load_slice_file(path, arity=6)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.dim > 0
+    assert peak - before <= 1.25 * (retained - before)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gens=generator_sets())
+def test_generator_set_hash_is_the_sha256_of_the_canonical_text(gens):
+    digest = hashlib.sha256(gens.canonical_text().encode("utf-8")).hexdigest()
+    assert generator_set_hash(gens) == digest
+
+
+def test_generator_set_hash_falls_back_to_hashlib():
+    # without the built-in modules the digest comes from hashlib, unchanged
+    import sys
+
+    gens = commutator_gens()
+    digest = generator_set_hash(gens)
+    with mock.patch.dict(sys.modules, {"_sha256": None, "_sha2": None}):
+        with mock.patch.object(hashlib, "sha256", wraps=hashlib.sha256) as fallback:
+            assert generator_set_hash(gens) == digest
+    assert fallback.called
