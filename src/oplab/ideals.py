@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, count, groupby
+from itertools import accumulate, combinations_with_replacement, count, groupby, permutations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,10 +52,7 @@ from .operad import (
 from .perms import (
     all_permutations,
     arrangement_classes,
-    block_compose,
-    identity,
-    multiply,
-    perm_index,
+    rank,
     sn_generators,
     unit_contraction_table,
     unit_shift_table,
@@ -94,6 +91,10 @@ CACHE_MAGIC = "OPIDEAL v1"
 CACHE_SUFFIX = ".opideal"
 # The largest arity a slice file may declare: 10! = 3,628,800 columns.
 MAX_SLICE_ARITY = 10
+# The largest slice file written.  A file spells every coordinate of every
+# row, so it takes at least 2*n!*rank bytes: 51 MB at most for arity 7, but
+# 3.25 GB for the arity-8 slice of [x1,x2].
+MAX_SLICE_FILE_BYTES = 100_000_000
 
 
 class GeneratorSet:
@@ -163,10 +164,10 @@ class IdealSlice:
 @lru_cache(maxsize=None)
 def _action_tables(arity: int) -> tuple[tuple[int, ...], ...]:
     """Index translation tables for right multiplication by the generating
-    pair of S_arity."""
-    perms = all_permutations(arity)
+    pair of S_arity, on sequences as `multiply` forms them."""
     return tuple(
-        tuple(perm_index(multiply(p, g)) for p in perms) for g in sn_generators(arity)
+        tuple(rank([g.seq[v - 1] for v in seq]) for seq in permutations(range(1, arity + 1)))
+        for g in sn_generators(arity)
     )
 
 
@@ -313,8 +314,9 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int
         for m in range(n + 1):
             for s in _compositions(m, k, s_min, ordered=ordered):
                 if ordered:
-                    units = [identity(size) for size in s]
-                    table = {p: perm_index(block_compose(p, units)) for p in support}
+                    # blocks[i]: the letters that slot i + 1 expands to
+                    blocks = [range(e - size + 1, e + 1) for size, e in zip(s, accumulate(s))]
+                    table = {p: rank([v for i in p.seq for v in blocks[i - 1]]) for p in support}
                 else:
                     table = unit_contraction_table(s)
                 for row in rows:
@@ -349,7 +351,8 @@ def ideal_slice_spanning(
     stats: dict | None = None,
 ) -> IdealSlice:
     """Arity-n slice of the ideal generated by `gens`, by direct spanning.
-    Slices of arity above MAX_SLICE_ARITY are not cached."""
+    Slices of arity above MAX_SLICE_ARITY are not cached, and a slice
+    whose file would pass MAX_SLICE_FILE_BYTES is not written."""
     if n < 0:
         raise ValueError("arity must be nonnegative")
     path = None
@@ -370,7 +373,7 @@ def ideal_slice_spanning(
     seeds = [vec for vec in _spanning_core_vectors(gens, n) if basis.insert(vec)]
     _saturate_under_action(basis, seeds)
     result = IdealSlice(n, basis)
-    if path is not None:
+    if path is not None and 2 * basis.dimension * basis.rank <= MAX_SLICE_FILE_BYTES:
         save_slice_file(path, result, gens.mode)
     return result
 

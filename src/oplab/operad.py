@@ -23,7 +23,8 @@ from .perms import (
     format_permutation,
     identity,
     multiply,
-    perm_index,
+    rank,
+    unrank,
 )
 
 __all__ = [
@@ -176,7 +177,7 @@ def act(theta: OperadElement, tau: Permutation) -> OperadElement:
 def to_vector(theta: OperadElement) -> SparseVector:
     """Coordinates in the lexicographic permutation order; dimension arity!."""
     vec = SparseVector(math.factorial(theta.arity))
-    vec.entries = {perm_index(p): c for p, c in theta.terms.items()}
+    vec.entries = {rank(p.seq): c for p, c in theta.terms.items()}
     return vec
 
 
@@ -185,9 +186,8 @@ def from_vector(arity: int, vec: SparseVector) -> OperadElement:
         raise ArityMismatch(
             f"vector dimension {vec.dimension} is not {arity}!"
         )
-    perms = all_permutations(arity)
     result = OperadElement(arity)
-    result.terms = {perms[i]: c for i, c in vec.entries.items()}
+    result.terms = {Permutation(unrank(i, arity)): c for i, c in vec.entries.items()}
     return result
 
 

@@ -10,8 +10,9 @@ order used everywhere downstream.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import permutations as _lex_permutations
+from itertools import accumulate, permutations as _lex_permutations
 from typing import Sequence
 
 __all__ = [
@@ -25,9 +26,11 @@ __all__ = [
     "multiply",
     "parse_permutation",
     "perm_index",
+    "rank",
     "sn_generators",
     "unit_contraction_table",
     "unit_shift_table",
+    "unrank",
 ]
 
 
@@ -149,14 +152,37 @@ def all_permutations(arity: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(seq) for seq in _lex_permutations(range(1, arity + 1)))
 
 
-@lru_cache(maxsize=None)
-def _index_map(arity: int) -> dict[tuple[int, ...], int]:
-    return {p.seq: i for i, p in enumerate(all_permutations(arity))}
+def rank(seq: Sequence[int]) -> int:
+    """Position of the permutation sequence `seq` in the lexicographic
+    enumeration of its arity: its Lehmer code (digit i counts the later
+    entries smaller than seq[i]) read in the factorial number system.  The
+    entries must be 1..len(seq) in some order; that is not checked."""
+    index = used = 0
+    radix = len(seq)
+    for value in seq:
+        bit = 1 << value
+        index = index * radix + value - 1 - (used & (bit - 1)).bit_count()
+        used |= bit
+        radix -= 1
+    return index
+
+
+def unrank(index: int, arity: int) -> tuple[int, ...]:
+    """The sequence at position `index` of the lexicographic enumeration of
+    S_arity, the inverse of rank; ValueError unless 0 <= index < arity!."""
+    if not 0 <= index < math.factorial(arity):
+        raise ValueError(f"index {index} outside 0..{arity}!-1")
+    free = list(range(1, arity + 1))
+    seq = []
+    for place in range(arity - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(place))
+        seq.append(free.pop(digit))
+    return tuple(seq)
 
 
 def perm_index(perm: Permutation) -> int:
     """Position of perm in the lexicographic enumeration of its arity."""
-    return _index_map(perm.arity)[perm.seq]
+    return rank(perm.seq)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +213,7 @@ def arrangement_classes(
     position: dict[tuple[int, ...], int] = {}
     reps: list[tuple[int, ...]] = []
     cls: list[int] = []
-    for seq in _index_map(len(labels) - 1):
+    for seq in _lex_permutations(range(1, len(labels))):
         key = tuple(map(labels.__getitem__, seq))
         k = position.get(key)
         if k is None:
@@ -204,30 +230,44 @@ def unit_contraction_table(sizes: Sequence[int]) -> list[int]:
     sigma -> block_compose(sigma, [identity(s) for s in sizes]).
 
     Slots of size 0 contract away, so the map need not be injective.
+
+    Each letter of slot j's block has the same Lehmer digit: the total size
+    of the smaller slots after j.  So the sigma of a subset of slots that
+    start with j have the indices of the subset without j, shifted by that
+    digit times the place values of j's letters.  Subsets come in
+    increasing order, each after the subsets it holds.
     """
-    blocks = []
-    total = 0
-    for size in sizes:
-        blocks.append(tuple(range(total + 1, total + size + 1)))
-        total += size
-    target = _index_map(total)
-    return [
-        target[tuple(v for slot in seq for v in blocks[slot - 1])]
-        for seq in _index_map(len(sizes))
-    ]
+    # below[t] = 0! + ... + (t-1)!: the first s of t letters have the place
+    # values (t-1)!, ..., (t-s)!, whose sum is below[t] - below[t - s]
+    below = [0, *accumulate(map(math.factorial, range(sum(sizes))))]
+    tables = [[0]]
+    totals = [0]
+    for subset in range(1, 1 << len(sizes)):
+        lowest = (subset & -subset).bit_length() - 1
+        total = totals[subset ^ 1 << lowest] + sizes[lowest]
+        totals.append(total)
+        table: list[int] = []
+        smaller = 0
+        for j, size in enumerate(sizes):
+            if subset >> j & 1:
+                rest = tables[subset ^ 1 << j]
+                shift = smaller * (below[total] - below[total - size])
+                table += [shift + i for i in rest] if shift else rest
+                smaller += size
+        tables.append(table)
+    return tables[-1]
 
 
 def unit_shift_table(left: int, arity: int, right: int) -> list[int]:
     """Index map S_arity -> S_{left+arity+right} of sigma -> 1_3 o (1_left,
     sigma, 1_right), whose sequence is (1..left, sigma + left, then the rest
-    in order).  The map is injective."""
-    head = tuple(range(1, left + 1))
-    tail = tuple(range(left + arity + 1, left + arity + right + 1))
-    target = _index_map(left + arity + right)
-    return [
-        target[head + tuple(v + left for v in seq) + tail]
-        for seq in _index_map(arity)
-    ]
+    in order).  The map is injective: the padded sequence has sigma's Lehmer
+    digits, and zeros around them, at the place values of their positions."""
+    table = [0]
+    for i in range(arity):
+        place = math.factorial(arity - 1 - i + right)
+        table = [t + digit * place for t in table for digit in range(arity - i)]
+    return table
 
 
 def format_permutation(perm: Permutation) -> str:

@@ -1204,6 +1204,25 @@ def test_slices_above_the_cap_are_not_cached(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_slices_over_the_file_cap_are_returned_but_not_written(tmp_path, monkeypatch):
+    # every arity-7 entry fits under the default cap, the arity-8 [x1,x2] one does not
+    cap = ideals_module.MAX_SLICE_FILE_BYTES
+    assert 2 * math.factorial(7) ** 2 <= cap < 2 * math.factorial(8) * (math.factorial(8) - 1)
+    gens = commutator_gens()
+    expected = ideal_slice_spanning(gens, 3)
+    reference = tmp_path / "reference.opideal"
+    save_slice_file(reference, expected, gens.mode)
+    # the arity-3 slice has rank 5 in 3! columns: its file has at least 60 bytes
+    monkeypatch.setattr(ideals_module, "MAX_SLICE_FILE_BYTES", 59)
+    over = tmp_path / "over"
+    assert ideal_slice_spanning(gens, 3, cache_dir=over) == expected
+    assert not over.exists() or list(over.iterdir()) == []
+    monkeypatch.setattr(ideals_module, "MAX_SLICE_FILE_BYTES", 60)
+    under = tmp_path / "under"
+    assert ideal_slice_spanning(gens, 3, cache_dir=under) == expected
+    assert slice_cache_path(under, gens, 3).read_bytes() == reference.read_bytes()
+
+
 def test_spanning_refuses_above_the_budget_unless_the_slice_is_zero():
     swap = Permutation((2, 1) + tuple(range(3, 13)))
     theta = OperadElement(12, {identity(12): 1, swap: -1})

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -91,6 +92,19 @@ def test_vector_round_trip():
     for arity in (0, 1, 2, 3, 4):
         theta = random_element(rng, arity)
         assert from_vector(arity, to_vector(theta)) == theta
+
+
+def test_vector_round_trip_at_arity_twelve():
+    # Coordinates are ranked one permutation at a time: nothing of size 12!
+    # is built.
+    rng = random.Random(12)
+    terms = {Permutation(rng.sample(range(1, 13), 12)): rng.randint(1, 9) for _ in range(20)}
+    theta = OperadElement(12, terms)
+    start = time.perf_counter()
+    vec = to_vector(theta)
+    assert vec.dimension == 479001600
+    assert from_vector(12, vec) == theta
+    assert time.perf_counter() - start < 1.0
 
 
 def test_standard_polynomial_small():

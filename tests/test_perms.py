@@ -2,7 +2,7 @@ import copy
 import math
 import pickle
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -19,9 +19,11 @@ from oplab import (
 )
 from oplab.perms import (
     arrangement_classes,
+    rank,
     sn_generators,
     unit_contraction_table,
     unit_shift_table,
+    unrank,
 )
 from oracles import word_substitution_compose
 
@@ -223,6 +225,37 @@ def test_unit_index_tables_match_block_compose():
             expected = block_compose(outer, [identity(left), sigma, identity(right)])
             assert table[i] == perm_index(expected)
         assert len(set(table)) == len(table)
+
+
+def test_unit_index_tables_match_block_compose_up_to_arity_seven():
+    # Random shapes beyond the exhaustive small ones, each with an empty
+    # and a multi-letter block.
+    rng = random.Random(7)
+    for k in range(2, 8):
+        for _ in range(3):
+            sizes = [0, rng.randint(2, 3)] + [rng.randint(0, 3) for _ in range(k - 2)]
+            rng.shuffle(sizes)
+            table = unit_contraction_table(sizes)
+            units = [identity(s) for s in sizes]
+            for i, sigma in enumerate(all_permutations(k)):
+                assert table[i] == perm_index(block_compose(sigma, units))
+    for arity in range(4, 8):
+        left, right = rng.randint(0, 3), rng.randint(0, 3)
+        table = unit_shift_table(left, arity, right)
+        for i, sigma in enumerate(all_permutations(arity)):
+            padded = block_compose(identity(3), [identity(left), sigma, identity(right)])
+            assert table[i] == perm_index(padded)
+
+
+def test_rank_and_unrank_follow_the_lex_enumeration():
+    for k in range(8):
+        for i, seq in enumerate(permutations(range(1, k + 1))):
+            assert rank(seq) == i
+            assert unrank(i, k) == seq
+    for k in range(5):
+        for index in (-1, math.factorial(k), math.factorial(k) + 7):
+            with pytest.raises(ValueError):
+                unrank(index, k)
 
 
 def test_sn_generators_generate_the_group():
