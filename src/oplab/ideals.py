@@ -34,28 +34,22 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, combinations_with_replacement, count, groupby, permutations
+from itertools import accumulate as running_sums
+from itertools import combinations_with_replacement, count, groupby, permutations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebras import DEFAULT_BUDGET, BudgetExceeded, StructureAlgebra, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
-from .linalg import RowBasis, _integral, parse_number
-from .operad import (
-    OperadElement,
-    act,
-    format_element,
-    from_vector,
-    partial_compose,
-    to_vector,
-)
+from .linalg import RowBasis, _integral, accumulate, parse_number
+from .operad import OperadElement, format_element, from_vector, to_vector
 from .perms import (
-    all_permutations,
     arrangement_classes,
     rank,
     sn_generators,
     unit_contraction_table,
     unit_shift_table,
+    unrank,
 )
 
 __all__ = [
@@ -315,7 +309,7 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int
             for s in _compositions(m, k, s_min, ordered=ordered):
                 if ordered:
                     # blocks[i]: the letters that slot i + 1 expands to
-                    blocks = [range(e - size + 1, e + 1) for size, e in zip(s, accumulate(s))]
+                    blocks = [range(e - size + 1, e + 1) for size, e in zip(s, running_sums(s))]
                     table = {p: rank([v for i in p.seq for v in blocks[i - 1]]) for p in support}
                 else:
                     table = unit_contraction_table(s)
@@ -381,11 +375,12 @@ def ideal_slice_spanning(
 def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
     """Fixpoint of the compositional closure moves inside arities <= hi.
 
-    Moves: right action by the generating pair of S_m, padding with the
-    binary identity on either side, and (unital mode) contraction with
-    the nullary identity.  Written independently of the spanning path.
-    Images aimed at an arity whose basis is already all of kS_m are not
-    formed: inserting them could not grow it.
+    Moves (`_closure_moves`): right action by the generating pair of S_m,
+    padding with the binary identity on either side, and (unital mode)
+    contraction with the nullary identity.  Written independently of the
+    spanning path: it shares only `rank` with it, none of its index tables
+    and not its S_n-closure.  Images aimed at an arity whose basis is
+    already all of kS_m are not formed: inserting them could not grow it.
     """
     lo = 0 if gens.mode == UNITAL else 1
     unital = gens.mode == UNITAL
@@ -405,32 +400,50 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
         return basis is not None and basis.rank < basis.dimension
 
     rank_total = 0
-    unit2 = OperadElement.unit(2)
-    unit0 = OperadElement.unit(0)
-    queue: list[OperadElement] = []
+    queue: list[tuple[dict[tuple[int, ...], int], int]] = []  # (integer row, arity)
     for theta in gens.elements:
-        if lo <= theta.arity <= hi and bases[theta.arity].insert(to_vector(theta)):
-            queue.append(theta)
+        m = theta.arity
+        row = _integral({p.seq: c for p, c in theta.terms.items()})
+        if lo <= m <= hi and bases[m].insert({rank(seq): c for seq, c in row.items()}):
+            queue.append((row, m))
             rank_total += 1
     while queue and rank_total < total_capacity:
-        theta = queue.pop()
-        m = theta.arity
-        images = [act(theta, g) for g in sn_generators(m)] if open_at(m) else []
-        if open_at(m + 1):
-            for i in range(1, m + 1):
-                images.append(partial_compose(theta, i, unit2))
-            for j in (1, 2):
-                images.append(partial_compose(unit2, j, theta))
-        if unital and m >= 1 and open_at(m - 1):
-            for i in range(1, m + 1):
-                images.append(partial_compose(theta, i, unit0))
-        for image in images:
-            if image.is_zero():
-                continue
-            if bases[image.arity].insert(to_vector(image)):
-                queue.append(image)
+        row, m = queue.pop()
+        translations = [g.seq for g in sn_generators(m)] if open_at(m) else ()
+        moves = _closure_moves(row, m, translations, open_at(m + 1), unital and open_at(m - 1))
+        for image, target, _, _ in moves:
+            if bases[target].insert({rank(seq): c for seq, c in image.items()}):
+                queue.append((image, target))
                 rank_total += 1
     return bases
+
+
+def _closure_moves(
+    row: Mapping[tuple[int, ...], int], m: int, translations: Iterable[Sequence[int]],
+    up: bool, down: bool,
+) -> Iterator[tuple[dict[tuple[int, ...], int], int, str, object]]:
+    """The images of an arity-m row keyed by permutation sequence, in checking
+    order, each with its target arity and the move's name (a template and its
+    slot): right translates by `translations`; if `up`, paddings with the
+    binary identity on each slot and either side; if `down`, contractions of
+    each slot with the nullary identity, under which terms may cancel."""
+    items = row.items()
+    for tau in translations:
+        text = "(" + ",".join(map(str, tau)) + ")"
+        yield {tuple([tau[v - 1] for v in s]): c for s, c in items}, m, "right translate by {}", text
+    if up:
+        for i in range(1, m + 1):  # letter i becomes i, i+1; later letters go up by 1
+            pad = {
+                tuple([w for v in s for w in ((i, i + 1) if v == i else (v + (v > i),))]): c
+                for s, c in items
+            }
+            yield pad, m + 1, "padding slot {}", i
+        yield {s + (m + 1,): c for s, c in items}, m + 1, "outer padding slot {}", 1
+        yield {(1, *[v + 1 for v in s]): c for s, c in items}, m + 1, "outer padding slot {}", 2
+    if down:
+        for i in range(1, m + 1):  # letter i goes; later letters go down by 1
+            contracted = ((tuple([v - (v > i) for v in s if v != i]), c) for s, c in items)
+            yield accumulate(contracted), m - 1, "contraction at slot {}", i
 
 
 def ideal_slice_closure(
@@ -449,10 +462,7 @@ def ideal_slice_closure(
     if n < 0 or headroom < 0:
         raise ValueError("arity and headroom must be nonnegative")
     bases = _closure_bases(gens, n + headroom)
-    basis = bases.get(n)
-    result = (
-        IdealSlice(n, basis) if basis is not None else IdealSlice.zero(n)
-    )
+    result = IdealSlice(n, bases[n]) if n in bases else IdealSlice.zero(n)
     if verify_stabilization:
         wider = _closure_bases(gens, n + headroom + 1).get(n)
         wider_dim = wider.rank if wider is not None else 0
@@ -668,27 +678,6 @@ class ClosureReport:
         return f"ClosureReport(ok={self.ok!r}, checked={self.checked!r}, failure={self.failure!r})"
 
 
-def _closure_moves(
-    theta: OperadElement, max_arity: int, mode: str
-) -> Iterator[tuple[OperadElement, int, str, object]]:
-    """The images of theta under the closure moves, in checking order, each
-    with its target arity and the move's name: a template and its slot."""
-    m = theta.arity
-    if m >= 2:
-        for tau in all_permutations(m):
-            yield act(theta, tau), m, "right translate by {}", tau
-    if m + 1 <= max_arity:
-        unit2 = OperadElement.unit(2)
-        for i in range(1, m + 1):
-            yield partial_compose(theta, i, unit2), m + 1, "padding slot {}", i
-        for j in (1, 2):
-            yield partial_compose(unit2, j, theta), m + 1, "outer padding slot {}", j
-    if mode == UNITAL and m >= 1:
-        unit0 = OperadElement.unit(0)
-        for i in range(1, m + 1):
-            yield partial_compose(theta, i, unit0), m - 1, "contraction at slot {}", i
-
-
 def verify_ideal_closure(
     slices: Mapping[int, IdealSlice], max_arity: int, mode: str = UNITAL
 ) -> ClosureReport:
@@ -707,10 +696,13 @@ def verify_ideal_closure(
     slice_at = {0: IdealSlice.zero(0), **slices}
     checked = 0
     for m in sorted(k for k in slices if k <= max_arity):
-        for theta in slices[m].elements():
-            for image, target, move, slot in _closure_moves(theta, max_arity, mode):
+        translations = list(permutations(range(1, m + 1))) if m >= 2 else ()
+        up, down = m + 1 <= max_arity, mode == UNITAL and m >= 1
+        for row in slices[m].basis.row_dicts():
+            row = {unrank(i, m): c for i, c in row.items()}
+            for image, target, move, slot in _closure_moves(row, m, translations, up, down):
                 checked += 1
-                if not slice_at[target].contains(image):
+                if not slice_at[target].basis.contains({rank(seq): c for seq, c in image.items()}):
                     where = "the slice" if target == m else f"arity {target}"
                     failure = f"arity {m}: {move.format(slot)} escapes {where}"
                     return ClosureReport(False, checked, failure)

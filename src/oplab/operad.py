@@ -18,6 +18,7 @@ from .linalg import SparseVector, accumulate, as_fraction, format_sum, parse_rat
 from .perms import (
     ArityMismatch,
     Permutation,
+    _trusted,
     all_permutations,
     block_compose,
     format_permutation,
@@ -187,7 +188,7 @@ def from_vector(arity: int, vec: SparseVector) -> OperadElement:
             f"vector dimension {vec.dimension} is not {arity}!"
         )
     result = OperadElement(arity)
-    result.terms = {Permutation(unrank(i, arity)): c for i, c in vec.entries.items()}
+    result.terms = {_trusted(unrank(i, arity)): c for i, c in vec.entries.items()}
     return result
 
 

@@ -105,6 +105,13 @@ class Permutation:
         return format_permutation(self)
 
 
+def _trusted(seq: tuple[int, ...]) -> Permutation:
+    """Permutation(seq) without its check, for a seq that is one by construction."""
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "seq", seq)
+    return perm
+
+
 @lru_cache(maxsize=None)
 def identity(arity: int) -> Permutation:
     if arity < 0:
@@ -144,12 +151,11 @@ def block_compose(outer: Permutation, parts: Sequence[Permutation]) -> Permutati
     return Permutation(tuple(result))
 
 
-@lru_cache(maxsize=None)
 def all_permutations(arity: int) -> tuple[Permutation, ...]:
-    """All of S_arity in lexicographic sequence order."""
+    """All of S_arity in lexicographic sequence order, built afresh."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
-    return tuple(Permutation(seq) for seq in _lex_permutations(range(1, arity + 1)))
+    return tuple(map(_trusted, _lex_permutations(range(1, arity + 1))))
 
 
 def rank(seq: Sequence[int]) -> int:

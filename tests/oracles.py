@@ -18,8 +18,11 @@ sparse best-first closure in `oplab.ideals` replaced; and
 `format_element_reference` and `format_poly_reference`, the two
 sign-joining printers that `oplab.linalg.format_sum` replaced; and
 `load_slice_file_reference`, the slice-cache reader that held the whole
-text and its lines, which the streaming `oplab.load_slice_file` replaced.  The module also
-holds two test algebras whose tables are not monomial, and
+text and its lines, which the streaming `oplab.load_slice_file` replaced;
+and `closure_moves_reference`, the closure moves on elements through
+`act` and `partial_compose` (so through `perms.block_compose`), which the
+integer rewrites of permutation sequences in `oplab.ideals` replaced.
+The module also holds two test algebras whose tables are not monomial, and
 `is_associative_reference`, the plain check of every basis triple that
 Light's test in `oplab.StructureAlgebra` replaced.
 """
@@ -43,10 +46,12 @@ from oplab import (
     RowBasis,
     StructureAlgebra,
     SparseVector,
+    act,
     all_permutations,
     format_permutation,
     format_rational,
     full_compose,
+    partial_compose,
     to_vector,
 )
 from oplab.algebras import _word_evaluator
@@ -292,6 +297,28 @@ def spanning_core_vectors_reference(gens: GeneratorSet, n: int) -> list[SparseVe
                     if not element.is_zero():
                         vectors.append(to_vector(element))
     return vectors
+
+
+def closure_moves_reference(theta: OperadElement, max_arity: int, mode: str):
+    """The images of theta under the closure moves, composed as elements, in
+    checking order, each with its target arity and the move's name: a
+    template and its slot.  Right translates by all of S_m (m >= 2),
+    paddings with the binary identity while m + 1 <= max_arity, and
+    contractions with the nullary identity in unital mode."""
+    m = theta.arity
+    if m >= 2:
+        for tau in all_permutations(m):
+            yield act(theta, tau), m, "right translate by {}", tau
+    if m + 1 <= max_arity:
+        unit2 = OperadElement.unit(2)
+        for i in range(1, m + 1):
+            yield partial_compose(theta, i, unit2), m + 1, "padding slot {}", i
+        for j in (1, 2):
+            yield partial_compose(unit2, j, theta), m + 1, "outer padding slot {}", j
+    if mode == UNITAL and m >= 1:
+        unit0 = OperadElement.unit(0)
+        for i in range(1, m + 1):
+            yield partial_compose(theta, i, unit0), m - 1, "contraction at slot {}", i
 
 
 def identities_slice_reference(algebra: StructureAlgebra, n: int) -> RowBasis:

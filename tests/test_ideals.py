@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import warnings
-from itertools import product
+from itertools import permutations, product, zip_longest
 from fractions import Fraction
 from unittest import mock
 
@@ -766,6 +766,15 @@ CLOSURE_PINS = [
         lambda: full_slice_map(commutator_gens(NONUNITAL), 4), 4, NONUNITAL,
         (True, 613, None), id="commutator-nonunital",
     ),
+    # arity 5: rows with 120 right translates each
+    pytest.param(
+        lambda: full_slice_map(GeneratorSet([poly_to_operad(TRIPLE_COMMUTATOR)]), 5), 5, UNITAL,
+        (True, 13572, None), id="triple-commutator-unital",
+    ),
+    pytest.param(
+        lambda: {n: identities_slice(matrix_algebra(2), n) for n in range(1, 6)}, 5, UNITAL,
+        (True, 3659, None), id="M_2-identities-arity-5",
+    ),
     pytest.param(
         lambda: {1: IdealSlice.zero(1), 2: _planted(2, "x1*x2")}, 2, NONUNITAL,
         (False, 2, "arity 2: right translate by (2,1) escapes the slice"), id="translate",
@@ -800,6 +809,49 @@ def test_verify_ideal_closure_pinned(slices, max_arity, mode, expected):
 def test_verify_ideal_closure_missing_slice():
     with pytest.raises(ValueError):
         verify_ideal_closure({1: IdealSlice.zero(1)}, 2)
+
+
+def _cancelling_row(rng, m):
+    """An integer row c*(s - s') where s' moves one letter of s elsewhere,
+    so contracting that letter cancels both terms."""
+    seq = list(range(1, m + 1))
+    rng.shuffle(seq)
+    letter = rng.randint(1, m)
+    rest = [v for v in seq if v != letter]
+    place = rng.choice([p for p in range(m) if p != seq.index(letter)])
+    moved = rest[:place] + [letter] + rest[place:]
+    c = rng.choice([-2, -1, 1, 3])
+    return {tuple(seq): c, tuple(moved): -c}
+
+
+def test_closure_moves_match_the_element_reference():
+    # the sequence rewrites against act/partial_compose (so block_compose),
+    # image for image: target arity, move name, slot text and image
+    rng = random.Random(1909)
+    cancelled = 0
+    for _ in range(150):
+        m = rng.randint(0, 5)
+        if m >= 2 and rng.random() < 0.4:
+            row = _cancelling_row(rng, m)
+        else:
+            seqs = [p.seq for p in all_permutations(m)]
+            picked = rng.sample(seqs, rng.randint(1, min(len(seqs), 5)))
+            row = {seq: rng.choice([-3, -1, 1, 2]) for seq in picked}
+        max_arity = m + rng.randint(0, 1)
+        mode = rng.choice([UNITAL, NONUNITAL])
+        theta = OperadElement(m, {Permutation(seq): c for seq, c in row.items()})
+        translations = list(permutations(range(1, m + 1))) if m >= 2 else ()
+        moves = ideals_module._closure_moves(
+            row, m, translations, m + 1 <= max_arity, mode == UNITAL and m >= 1
+        )
+        expected = oracles.closure_moves_reference(theta, max_arity, mode)
+        for got, want in zip_longest(moves, expected):
+            assert got is not None and want is not None
+            image, target, move, slot = got
+            assert (target, move, str(slot)) == (want[1], want[2], str(want[3]))
+            assert OperadElement(target, {Permutation(seq): c for seq, c in image.items()}) == want[0]
+            cancelled += not image
+    assert cancelled >= 10
 
 
 def test_roundtrip_check_small():

@@ -9,9 +9,11 @@ import pytest
 from oplab import (
     ArityMismatch,
     Permutation,
+    SparseVector,
     all_permutations,
     block_compose,
     format_permutation,
+    from_vector,
     identity,
     multiply,
     parse_permutation,
@@ -54,6 +56,19 @@ def test_permutation_value_semantics():
         del p.seq
     assert p.seq == (2, 1, 3)
     assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
+
+
+def test_unchecked_permutations_behave_like_checked_ones():
+    # all_permutations and from_vector build their permutations unchecked
+    every = from_vector(3, SparseVector(6, {i: 1 for i in range(6)}))
+    for q in all_permutations(3) + tuple(every.terms):
+        checked = Permutation(q.seq)
+        assert q == checked and hash(q) == hash(checked) and repr(q) == repr(checked)
+        with pytest.raises(AttributeError):
+            q.seq = (1, 2, 3)
+        assert pickle.loads(pickle.dumps(q)) == checked
+    with pytest.raises(ValueError):
+        Permutation((1, 3))
 
 
 def test_identity_and_multiply():
