@@ -44,11 +44,16 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceeded(RuntimeError):
-    """The requested exhaustive enumeration is larger than the budget."""
+    """The requested exhaustive enumeration is larger than the budget.
 
-    def __init__(self, needed: int, budget: int) -> None:
+    `message` replaces the default text, which counts tuple evaluations;
+    a refusal of a width such as n! says what spans it instead (from
+    n = 1559 on, n! has more digits than the interpreter converts to
+    text), and its `needed` may be a lower bound of that width."""
+
+    def __init__(self, needed: int, budget: int, message: str | None = None) -> None:
         super().__init__(
-            f"enumeration needs {needed} tuple evaluations, budget is {budget}"
+            message or f"enumeration needs {needed} tuple evaluations, budget is {budget}"
         )
         self.needed = needed
         self.budget = budget

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .linalg import accumulate, as_fraction, format_sum
+from .linalg import _Combination, accumulate, format_sum
 from .operad import OperadElement
 from .perms import ArityMismatch, Permutation
 
@@ -52,26 +52,23 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-class NcPoly:
+class NcPoly(_Combination):
     """Polynomial in noncommuting variables, stored as word -> coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(
         self,
         terms: Mapping[Word, Fraction | int | str]
         | Iterable[tuple[Word, Fraction | int | str]] = (),
     ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        self._fill(terms)
 
-        def checked():
-            for word, raw in items:
-                word = tuple(word)
-                if any(v < 1 for v in word):
-                    raise ValueError(f"variable indices must be >= 1, got {word}")
-                yield word, as_fraction(raw)
-
-        self.terms = accumulate(checked())
+    def _key(self, word: Word) -> Word:
+        word = tuple(word)
+        if any(v < 1 for v in word):
+            raise ValueError(f"variable indices must be >= 1, got {word}")
+        return word
 
     @classmethod
     def zero(cls) -> "NcPoly":
@@ -93,14 +90,8 @@ class NcPoly:
     def monomial(cls, word: Word, coeff: Fraction | int = 1) -> "NcPoly":
         return cls({tuple(word): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def items(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self.terms.items())
 
     def variables(self) -> set[int]:
         return {v for word in self.terms for v in word}
@@ -118,29 +109,12 @@ class NcPoly:
             return n
         return None
 
-    def add(self, other: "NcPoly") -> "NcPoly":
-        result = NcPoly()
-        result.terms = accumulate(other.terms.items(), self.terms)
-        return result
-
-    def sub(self, other: "NcPoly") -> "NcPoly":
-        return self.add(other.scale(-1))
-
-    def scale(self, factor: Fraction | int) -> "NcPoly":
-        factor = as_fraction(factor)
-        result = NcPoly()
-        if factor:
-            result.terms = {w: c * factor for w, c in self.terms.items()}
-        return result
-
     def mul(self, other: "NcPoly") -> "NcPoly":
-        result = NcPoly()
-        result.terms = accumulate(
+        return self._like(accumulate(
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items()
-        )
-        return result
+        ))
 
     def pow(self, exponent: int) -> "NcPoly":
         if exponent < 0:
@@ -150,23 +124,7 @@ class NcPoly:
             result = result.mul(self)
         return result
 
-    __add__ = add
-    __sub__ = sub
     __mul__ = mul
-
-    def __neg__(self) -> "NcPoly":
-        return self.scale(-1)
-
-    def __rmul__(self, factor: Fraction | int) -> "NcPoly":
-        return self.scale(factor)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"NcPoly({format_poly(self)!r})"

@@ -214,34 +214,30 @@ def _saturate_under_action(
         offer(candidate if len(candidate) <= len(remainder) else remainder)
 
 
-def _width_refusal(needed: int, what: str) -> BudgetExceeded:
-    """The refusal of a computation whose `needed` coordinates exceed
-    DEFAULT_BUDGET.  The message says what spans them (`what`) instead of
-    counting tuple evaluations, and leaves `needed` out: from n = 1559
-    on, n! has more digits than the interpreter converts to text.
-    Callers stop multiplying or summing at the first partial result over
-    the budget, so `needed` is a lower bound of the full width."""
-    refusal = BudgetExceeded(0, DEFAULT_BUDGET)
-    refusal.args = (f"{what}, more than the budget of {DEFAULT_BUDGET}",)
-    refusal.needed = needed
-    return refusal
-
-
-def _spanning_width(gens: GeneratorSet, n: int) -> int:
-    """n!, the width of the arity-n slice of the ideal that `gens`
-    generates.  Refuses when a generator reaches arity n (any arity in
-    unital mode, k <= n otherwise) and n! exceeds DEFAULT_BUDGET; the
-    product stops at the first partial product over the budget, so a
-    huge n is refused without forming n!."""
-    s_min = 0 if gens.mode == UNITAL else 1
-    if not any(s_min * theta.arity <= n for theta in gens.elements):
-        return math.factorial(n)
+def _slice_width(n: int) -> int:
+    """n!, the width of an arity-n slice, refused with BudgetExceeded when
+    it exceeds DEFAULT_BUDGET (n >= 11).  The product stops at the first
+    partial product over the budget, so a huge n is refused without
+    forming n!, and `needed` is that partial product."""
     width = 1
     for k in range(2, n + 1):
         width *= k
         if width > DEFAULT_BUDGET:
-            raise _width_refusal(width, f"a slice of arity {n} spans {n}! coordinates")
+            raise BudgetExceeded(
+                width, DEFAULT_BUDGET,
+                f"a slice of arity {n} spans {n}! coordinates, more than the budget of {DEFAULT_BUDGET}",
+            )
     return width
+
+
+def _spanning_width(gens: GeneratorSet, n: int) -> int:
+    """n!, the width of the arity-n slice of the ideal that `gens`
+    generates.  Refuses (`_slice_width`) when a generator reaches arity n:
+    any arity in unital mode, k <= n otherwise."""
+    s_min = 0 if gens.mode == UNITAL else 1
+    if not any(s_min * theta.arity <= n for theta in gens.elements):
+        return math.factorial(n)
+    return _slice_width(n)
 
 
 def _compositions(
@@ -390,8 +386,10 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
         if total_capacity > DEFAULT_BUDGET:
             break
     if total_capacity > DEFAULT_BUDGET and any(lo <= t.arity <= hi for t in gens.elements):
-        raise _width_refusal(
-            total_capacity, f"the closure window spans {lo}! + ... + {hi}! coordinates"
+        raise BudgetExceeded(
+            total_capacity, DEFAULT_BUDGET,
+            f"the closure window spans {lo}! + ... + {hi}! coordinates, "
+            f"more than the budget of {DEFAULT_BUDGET}",
         )
     bases = {m: RowBasis(math.factorial(m)) for m in range(lo, hi + 1)}
 
@@ -520,7 +518,7 @@ def identities_slice(
 ) -> IdealSlice:
     """All arity-n elements that vanish under every evaluation on the algebra:
     the kernel of the closed evaluation row space.  Refuses with
-    BudgetExceeded when the tuples to evaluate do not fit the budget."""
+    BudgetExceeded when n! or the tuples to evaluate do not fit the budget."""
     return IdealSlice(n, _closed_evaluation_rows(algebra, n, budget).kernel())
 
 
@@ -535,10 +533,12 @@ def _closed_evaluation_rows(
     afterwards, which is exact.  The unordered tuple count is charged
     against the budget, exactly (counted from the masks) when only
     disjoint supports are enumerated; if it does not fit the call refuses
-    rather than sampling.
+    rather than sampling.  Before that, the width n! is refused above
+    DEFAULT_BUDGET (`_slice_width`), as on the spanning side.
     """
     if n < 1:
         raise ValueError("identity slices are defined for arity >= 1")
+    _slice_width(n)
     dim = algebra.dim
     masks = algebra._zero_overlap_masks
     if masks is not None:
@@ -636,7 +636,7 @@ def min_identity_degree(
     algebra: StructureAlgebra, max_arity: int, *, budget: int = DEFAULT_BUDGET
 ) -> int | None:
     """Least arity <= max_arity with a nonzero identity slice, else None."""
-    for n in range(1, max_arity + 1):
+    for n in range(1, _nonnegative(max_arity) + 1):
         if _closed_evaluation_rows(algebra, n, budget).rank < math.factorial(n):
             return n
     return None
@@ -689,7 +689,7 @@ def verify_ideal_closure(
     down.  A missing arity between 1 and max_arity is a contract violation;
     a missing arity-0 slice defaults to zero.
     """
-    for m in range(1, max_arity + 1):
+    for m in range(1, _nonnegative(max_arity) + 1):
         if m not in slices:
             raise ValueError(f"missing slice for arity {m}")
     # Every move lands in 0..max_arity, so only arity 0 can be missing.
@@ -707,6 +707,14 @@ def verify_ideal_closure(
                     failure = f"arity {m}: {move.format(slot)} escapes {where}"
                     return ClosureReport(False, checked, failure)
     return ClosureReport(True, checked)
+
+
+def _nonnegative(max_arity: int) -> int:
+    """max_arity, refused with ValueError if negative: a negative bound
+    checks nothing and would pass vacuously."""
+    if max_arity < 0:
+        raise ValueError("the arity bound must be nonnegative")
+    return max_arity
 
 
 class RoundtripReport:
@@ -729,7 +737,7 @@ def roundtrip_check(gens: GeneratorSet, max_arity: int) -> RoundtripReport:
     and span again; both canonical bases must coincide.
     """
     report = RoundtripReport()
-    for n in range(1, max_arity + 1):
+    for n in range(1, _nonnegative(max_arity) + 1):
         direct = ideal_slice_spanning(gens, n)
         polys = slice_polynomials(direct)
         regenerated = poly_generated_slice(polys, n, gens.mode)
@@ -741,7 +749,7 @@ def full_slice_map(gens: GeneratorSet, max_arity: int) -> dict[int, IdealSlice]:
     """Spanning slices for every arity up to the bound; arity 0 is included
     in unital mode, where contractions can land there."""
     start = 0 if gens.mode == UNITAL else 1
-    return {n: ideal_slice_spanning(gens, n) for n in range(start, max_arity + 1)}
+    return {n: ideal_slice_spanning(gens, n) for n in range(start, _nonnegative(max_arity) + 1)}
 
 
 def slices_equal(
@@ -751,7 +759,7 @@ def slices_equal(
     if first.mode != second.mode:
         raise ValueError("generator sets must use the same mode")
     start = 0 if first.mode == UNITAL else 1
-    for n in range(start, max_arity + 1):
+    for n in range(start, _nonnegative(max_arity) + 1):
         if ideal_slice_spanning(first, n) != ideal_slice_spanning(second, n):
             return False
     return True

@@ -109,10 +109,83 @@ def format_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-class SparseVector:
+class _Combination:
+    """A finite exact combination: the map ``terms`` from keys to nonzero
+    ``Fraction`` coefficients, in the space named by the class attribute
+    ``_space_name`` (a dimension or an arity; None for one space shared by
+    all).  Two combinations of one class add, and compare equal, only in
+    one space; ``add`` raises ``_mismatch`` across spaces.  Subclasses
+    check or normalise each key in ``_key``."""
+
+    __slots__ = ("terms",)
+    _space_name: str | None = None
+    _mismatch: type[ValueError]
+
+    def _fill(self, terms: Mapping | Iterable[tuple]) -> None:
+        """Store the per-key sums of terms (a map or (key, value) pairs),
+        each key passed through _key and each value through as_fraction."""
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        key = self._key
+        self.terms = accumulate((key(k), as_fraction(raw)) for k, raw in items)
+
+    def _space(self) -> int | None:
+        return None if self._space_name is None else getattr(self, self._space_name)
+
+    def _like(self, terms: dict):
+        """A combination of self's class and space holding terms as given."""
+        out = object.__new__(self.__class__)
+        if self._space_name is not None:
+            setattr(out, self._space_name, self._space())
+        out.terms = terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self.terms.items())
+
+    def add(self, other):
+        if other.__class__ is not self.__class__:
+            raise TypeError(f"cannot add {other.__class__.__name__} to {self.__class__.__name__}")
+        if self._space() != other._space():
+            raise self._mismatch(
+                f"{self._space_name} mismatch: {self._space()} vs {other._space()}"
+            )
+        return self._like(accumulate(other.terms.items(), self.terms))
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, factor: Fraction | int):
+        factor = as_fraction(factor)
+        return self._like({k: c * factor for k, c in self.terms.items()} if factor else {})
+
+    __add__ = add
+    __sub__ = sub
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __rmul__(self, factor: Fraction | int):
+        return self.scale(factor)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, self.__class__):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self._space(), frozenset(self.terms.items())))
+
+
+class SparseVector(_Combination):
     """Sparse vector of a fixed dimension; zero entries are never stored."""
 
-    __slots__ = ("dimension", "entries")
+    __slots__ = ("dimension",)
+    _space_name = "dimension"
+    _mismatch = DimensionMismatch
+    entries = _Combination.terms  # the stored map, under its vector name
 
     def __init__(
         self,
@@ -121,16 +194,13 @@ class SparseVector:
     ) -> None:
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
-        items = entries.items() if isinstance(entries, Mapping) else entries
-
-        def checked():
-            for index, raw in items:
-                if not 0 <= index < dimension:
-                    raise DimensionMismatch(f"index {index} out of range for dimension {dimension}")
-                yield index, as_fraction(raw)
-
         self.dimension = dimension
-        self.entries = accumulate(checked())
+        self._fill(entries)
+
+    def _key(self, index: int) -> int:
+        if not 0 <= index < self.dimension:
+            raise DimensionMismatch(f"index {index} out of range for dimension {self.dimension}")
+        return index
 
     @classmethod
     def from_dense(cls, values: Iterable[Fraction | int | str]) -> "SparseVector":
@@ -144,44 +214,8 @@ class SparseVector:
     def get(self, index: int) -> Fraction:
         return self.entries.get(index, ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self.entries.items())
-
-    def add(self, other: "SparseVector") -> "SparseVector":
-        self._check(other)
-        out = SparseVector(self.dimension)
-        out.entries = accumulate(other.entries.items(), self.entries)
-        return out
-
-    def sub(self, other: "SparseVector") -> "SparseVector":
-        return self.add(other.scale(-1))
-
-    def scale(self, factor: Fraction | int) -> "SparseVector":
-        factor = as_fraction(factor)
-        out = SparseVector(self.dimension)
-        if factor:
-            out.entries = {i: v * factor for i, v in self.entries.items()}
-        return out
-
     def to_dense(self) -> list[Fraction]:
         return [self.entries.get(i, ZERO) for i in range(self.dimension)]
-
-    def _check(self, other: "SparseVector") -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return self.dimension == other.dimension and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, tuple(sorted(self.entries.items()))))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -292,24 +326,8 @@ class RowBasis:
         # Stored rows contain no pivot column other than their own, so a
         # single pass over the pivot columns present in the input suffices.
         for col in sorted(c for c in v if c in rows):
-            a = v.get(col)
-            if not a:
-                continue
-            row = rows[col]
-            b = row[col]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if b != 1:  # v <- b*v - a*row, with b > 0
-                for c in v:
-                    v[c] *= b
-            for c, x in row.items():
-                value = v.get(c, 0) - a * x
-                if value:
-                    v[c] = value
-                else:
-                    del v[c]
+            if col in v:
+                _eliminate(v, rows[col], col)
         return v
 
     def contains(self, vec: SparseVector | Mapping[int, Fraction | int]) -> bool:
@@ -327,29 +345,15 @@ class RowBasis:
             content = -content
         if content != 1:
             v = {c: x // content for c, x in v.items()}
-        p = v[pivot]
         # The new pivot column was free until now: clear it from all rows,
-        # row <- (p/g)*row - (a/g)*v, which keeps the row's pivot positive.
+        # which keeps each row's pivot positive, and make them primitive.
         for row in self._rows.values():
-            a = row.get(pivot)
-            if not a:
-                continue
-            g = gcd(a, p)
-            a //= g
-            b = p // g
-            if b != 1:
-                for c in row:
-                    row[c] *= b
-            for c, x in v.items():
-                value = row.get(c, 0) - a * x
-                if value:
-                    row[c] = value
-                else:
-                    del row[c]
-            content = gcd(*row.values())
-            if content != 1:
-                for c in row:
-                    row[c] //= content
+            if pivot in row:
+                _eliminate(row, v, pivot)
+                content = gcd(*row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
         self._rows[pivot] = v
         return True
 
@@ -379,6 +383,27 @@ class RowBasis:
 
     def __repr__(self) -> str:
         return f"RowBasis(dimension={self.dimension}, rank={self.rank})"
+
+
+def _eliminate(target: dict[int, int], source: Mapping[int, int], col: int) -> None:
+    """target <- (b/g)*target - (a/g)*source in place, where a = target[col],
+    b = source[col] > 0 and g = gcd(a, b): column col leaves target, and the
+    factor on target stays positive."""
+    a = target[col]
+    b = source[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        for c in target:
+            target[c] *= b
+    for c, x in source.items():
+        value = target.get(c, 0) - a * x
+        if value:
+            target[c] = value
+        else:
+            del target[c]
 
 
 def _integral(entries: Mapping[int, Fraction | int]) -> dict[int, int]:

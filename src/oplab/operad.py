@@ -12,9 +12,9 @@ import math
 import re
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import SparseVector, accumulate, as_fraction, format_sum, parse_rational
+from .linalg import SparseVector, _Combination, accumulate, format_sum, parse_rational
 from .perms import (
     ArityMismatch,
     Permutation,
@@ -41,10 +41,12 @@ __all__ = [
 ]
 
 
-class OperadElement:
+class OperadElement(_Combination):
     """Finite linear combination of permutations of one fixed arity."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
+    _space_name = "arity"
+    _mismatch = ArityMismatch
 
     def __init__(
         self,
@@ -54,18 +56,15 @@ class OperadElement:
     ) -> None:
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-
-        def checked():
-            for perm, raw in items:
-                if perm.arity != arity:
-                    raise ArityMismatch(
-                        f"term {perm} has arity {perm.arity}, element has arity {arity}"
-                    )
-                yield perm, as_fraction(raw)
-
         self.arity = arity
-        self.terms = accumulate(checked())
+        self._fill(terms)
+
+    def _key(self, perm: Permutation) -> Permutation:
+        if perm.arity != self.arity:
+            raise ArityMismatch(
+                f"term {perm} has arity {perm.arity}, element has arity {self.arity}"
+            )
+        return perm
 
     @classmethod
     def zero(cls, arity: int) -> "OperadElement":
@@ -80,51 +79,8 @@ class OperadElement:
     def basis(cls, perm: Permutation, coeff: Fraction | int = 1) -> "OperadElement":
         return cls(perm.arity, {perm: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, perm: Permutation) -> Fraction:
         return self.terms.get(perm, Fraction(0))
-
-    def items(self) -> Iterator[tuple[Permutation, Fraction]]:
-        return iter(self.terms.items())
-
-    def add(self, other: "OperadElement") -> "OperadElement":
-        self._check(other)
-        result = OperadElement(self.arity)
-        result.terms = accumulate(other.terms.items(), self.terms)
-        return result
-
-    def sub(self, other: "OperadElement") -> "OperadElement":
-        return self.add(other.scale(-1))
-
-    def scale(self, factor: Fraction | int) -> "OperadElement":
-        factor = as_fraction(factor)
-        result = OperadElement(self.arity)
-        if factor:
-            result.terms = {p: c * factor for p, c in self.terms.items()}
-        return result
-
-    __add__ = add
-    __sub__ = sub
-
-    def __neg__(self) -> "OperadElement":
-        return self.scale(-1)
-
-    def __rmul__(self, factor: Fraction | int) -> "OperadElement":
-        return self.scale(factor)
-
-    def _check(self, other: "OperadElement") -> None:
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperadElement):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.arity, tuple(sorted((p.seq, c) for p, c in self.terms.items()))))
 
     def __repr__(self) -> str:
         return f"OperadElement({self.arity}, {format_element(self)!r})"

@@ -347,6 +347,56 @@ def test_ideal_dim_refuses_huge_arities_without_forming_n_factorial(capsys):
         assert payload["error"]["type"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize(
+    "algebra", ['{"type":"matrix","k":2}', '{"type":"grassmann","generators":2}']
+)
+def test_codim_refuses_slices_wider_than_the_budget(capsys, algebra):
+    # 12! coordinates: refused before the 455 (or fewer) tuples are walked
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "codim", "--algebra", algebra, "--n", "12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"] == {
+        "type": "BudgetExceeded",
+        "message": "a slice of arity 12 spans 12! coordinates, more than the budget of 10000000",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roundtrip", "--polys", "x1*x2-x2*x1", "--max-arity", "-1"),
+        ("slices-equal", "--polys1", "x1*x2-x2*x1", "--polys2", "x1*x2-x2*x1", "--max-arity", "-2"),
+        ("closure-verify", "--polys", "x1*x2-x2*x1", "--max-arity", "-1"),
+        ("closure-verify", "--algebra", '{"type":"matrix","k":1}', "--max-arity", "-1"),
+        ("min-degree", "--algebra", '{"type":"matrix","k":2}', "--max", "-3"),
+    ],
+)
+def test_negative_arity_bounds_are_refused(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ValueError", "message": "the arity bound must be nonnegative"
+    }
+    # a zero bound checks nothing, and says so without an error
+    argv = argv[:-1] + ("0",)
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and "error" not in payload
+
+
+def test_installed_entry_point_prints_what_main_prints(capsys, monkeypatch):
+    # [project.scripts] runs oplab.cli:entrypoint, which exits with main's code
+    from oplab.cli import entrypoint
+
+    argv = ["phi", "--element", "1*(2,1)"]
+    code, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr("sys.argv", ["oplab", *argv])
+    with pytest.raises(SystemExit) as exited:
+        entrypoint()
+    assert exited.value.code == code == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cache_write_and_read_load_no_openssl(tmp_path):
     # an ideal-dim call that writes a cache entry, then one that reads it,
     # in one process: neither loads hashlib's OpenSSL module, and both

@@ -1289,6 +1289,17 @@ def test_spanning_refuses_above_the_budget_unless_the_slice_is_zero():
         ideal_slice_spanning(GeneratorSet([theta]), 5000)
 
 
+def test_evaluation_refuses_slices_wider_than_the_budget():
+    # 11! > 10^7: refused before any tuple is walked, though M_2 has only
+    # comb(14, 11) = 364 of them
+    with pytest.raises(BudgetExceeded) as refused:
+        codimension(matrix_algebra(2), 11)
+    assert refused.value.needed == math.factorial(11)
+    assert str(refused.value) == (
+        "a slice of arity 11 spans 11! coordinates, more than the budget of 10000000"
+    )
+
+
 def test_closure_refuses_a_window_wider_than_the_budget():
     commutator = GeneratorSet([poly_to_operad(parse_poly("x1*x2 - x2*x1"))])
     with pytest.raises(BudgetExceeded) as refused:

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab import (
+    ArityMismatch,
     DimensionMismatch,
+    NcPoly,
+    OperadElement,
     RowBasis,
     SparseVector,
+    all_permutations,
     format_rational,
     kernel_basis,
     parse_rational,
@@ -46,6 +50,69 @@ def test_accumulate_matches_a_reference_sum(pairs, start):
     assert start == before
     assert accumulate((pair for pair in pairs), start) == sums
     assert accumulate(pairs) == accumulate(pairs, {})
+
+
+# Each class of exact combination: its constructor from a space and
+# terms, its key for each small int, a space, and (with a dimension or an
+# arity) a second space with the refusal of adding across the two.
+COMBINATIONS = {
+    "SparseVector": (
+        SparseVector, lambda k: k, 6, (7, DimensionMismatch, "dimension mismatch: 6 vs 7")
+    ),
+    "OperadElement": (
+        OperadElement, all_permutations(3).__getitem__, 3, (4, ArityMismatch, "arity mismatch: 3 vs 4")
+    ),
+    "NcPoly": (lambda space, terms=(): NcPoly(terms), lambda k: (k + 1, 1), None, None),
+}
+
+
+@pytest.mark.parametrize("kind", list(COMBINATIONS))
+@given(
+    first=st.lists(st.tuples(small_keys, small_values), max_size=10),
+    second=st.lists(st.tuples(small_keys, small_values), max_size=10),
+    factor=small_values,
+)
+@settings(max_examples=150, derandomize=True)
+def test_combination_arithmetic_matches_dict_arithmetic(kind, first, second, factor):
+    make, key, space, other = COMBINATIONS[kind]
+
+    def build(pairs):
+        return make(space, [(key(k), v) for k, v in pairs])
+
+    def reference(*scaled_pairs):
+        sums = defaultdict(Fraction)
+        for pairs, scale in scaled_pairs:
+            for k, v in pairs:
+                sums[key(k)] += scale * v
+        return {k: v for k, v in sums.items() if v}
+
+    a, b = build(first), build(second)
+    assert a.terms == reference((first, 1))
+    assert a.add(b).terms == (a + b).terms == reference((first, 1), (second, 1))
+    assert a.sub(b).terms == (a - b).terms == reference((first, 1), (second, -1))
+    assert a.scale(factor).terms == (factor * a).terms == reference((first, factor))
+    assert (-a).terms == reference((first, -1))
+    assert a.scale(0).terms == {} and a.scale(0).is_zero() and a.sub(a).is_zero()
+    for result in (a.add(b), a.scale(factor), -a):
+        assert type(result) is type(a) and result == make(space, result.terms)
+    # the same map built in another order: equal, with equal hashes
+    again = build(first[::-1])
+    assert again == a and hash(again) == hash(a)
+    assert a.add(b) == b.add(a) and hash(a.add(b)) == hash(b.add(a))
+    # another class holding the very same map is never equal
+    for name, (make_other, _, other_space, _) in COMBINATIONS.items():
+        if name != kind:
+            twin = make_other(other_space)
+            twin.terms = dict(a.terms)
+            assert a != twin and twin != a
+            with pytest.raises(TypeError):
+                a.add(twin)
+    if other is not None:
+        other_space, error, message = other
+        assert make(space) != make(other_space)
+        with pytest.raises(error) as refused:
+            a.add(make(other_space))
+        assert str(refused.value) == message
 
 
 def test_rational_serialization():
