@@ -33,6 +33,7 @@ from .ideals import (
     ideal_slice_closure,
     ideal_slice_spanning,
     identities_slice,
+    lowest_arity,
     membership,
     min_identity_degree,
     roundtrip_check,
@@ -116,11 +117,8 @@ def _cmd_ideal_dim(args, diag) -> dict:
     if args.algorithm == "closure":
         slice_ = ideal_slice_closure(gens, args.n, args.headroom)
     else:
-        stats: dict = {}
-        slice_ = ideal_slice_spanning(
-            gens, args.n, cache_dir=_cache_dir(args), stats=stats
-        )
-        diag["cache_hit"] = stats.get("cache_hit", False)
+        diag["cache_hit"] = False  # a slice that no generator reaches skips the cache
+        slice_ = ideal_slice_spanning(gens, args.n, cache_dir=_cache_dir(args), stats=diag)
     return {"arity": args.n, "dim": slice_.dim, "ambient_dim": slice_.basis.dimension}
 
 
@@ -184,7 +182,7 @@ def _cmd_compose(args, diag) -> dict:
         pieces = [parse_element(args.inner)]
     else:
         pieces = [parse_element(chunk) for chunk in _split_items(args.parts)]
-    if args.mode == "nonunital" and any(p.arity == 0 for p in pieces):
+    if any(p.arity < lowest_arity(args.mode) for p in pieces):
         raise ValueError("arity-0 arguments are not available in nonunital mode")
     if args.inner is not None:
         result = partial_compose(outer, args.slot, pieces[0])
@@ -332,17 +330,18 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     payload: dict = {"command": args.command, "version": __version__}
     payload["params"] = _echo_params(args)
+    style = {"indent": 2} if args.pretty else {"separators": (",", ":")}
     try:
         payload["result"] = _HANDLERS[args.command](args, diag)
+        # Inside the try: str() refuses an int past the interpreter's digit limit.
+        text = json.dumps(payload, sort_keys=True, **style)
         code = 0
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        payload.pop("result", None)
         payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        text = json.dumps(payload, sort_keys=True, **style)
         code = 1
     elapsed_ms = (time.monotonic() - started) * 1000.0
-    if args.pretty:
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     print(text)
     notes = " ".join(f"{k}={v}" for k, v in sorted(diag.items()))
     print(

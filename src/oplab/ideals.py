@@ -91,8 +91,15 @@ MAX_SLICE_ARITY = 10
 MAX_SLICE_FILE_BYTES = 100_000_000
 
 
+def lowest_arity(mode: str) -> int:
+    """The lowest arity of an element: 0 in unital mode (the nullary identity), else 1."""
+    if mode not in (UNITAL, NONUNITAL):
+        raise ValueError(f"mode must be {UNITAL!r} or {NONUNITAL!r}")
+    return 0 if mode == UNITAL else 1
+
+
 class GeneratorSet:
-    """Nonzero operad elements (mixed arities) plus the composition mode."""
+    """Nonzero operad elements, none below the mode's lowest arity, plus the mode."""
 
     __slots__ = ("elements", "mode")
 
@@ -100,8 +107,9 @@ class GeneratorSet:
         elements = tuple(elements)
         if any(e.is_zero() for e in elements):
             raise ValueError("generator sets must not contain the zero element")
-        if mode not in (UNITAL, NONUNITAL):
-            raise ValueError(f"mode must be {UNITAL!r} or {NONUNITAL!r}")
+        lowest = lowest_arity(mode)
+        if any(e.arity < lowest for e in elements):
+            raise ValueError(f"{mode} mode has no elements below arity {lowest}")
         self.elements = elements
         self.mode = mode
 
@@ -230,14 +238,11 @@ def _slice_width(n: int) -> int:
     return width
 
 
-def _spanning_width(gens: GeneratorSet, n: int) -> int:
-    """n!, the width of the arity-n slice of the ideal that `gens`
-    generates.  Refuses (`_slice_width`) when a generator reaches arity n:
-    any arity in unital mode, k <= n otherwise."""
-    s_min = 0 if gens.mode == UNITAL else 1
-    if not any(s_min * theta.arity <= n for theta in gens.elements):
-        return math.factorial(n)
-    return _slice_width(n)
+def _reaches(gens: GeneratorSet, n: int) -> bool:
+    """Whether the generated ideal can be nonzero at arity n: composing an
+    arity-k generator gives arity lowest * k or more, padding every one above."""
+    lowest = lowest_arity(gens.mode)
+    return any(lowest * theta.arity <= n for theta in gens.elements)
 
 
 def _compositions(
@@ -280,9 +285,8 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int
     an index table S_k -> S_m, or for k > n term by term, and dropped if
     it cancels; the unit wrap is an injective shift of indices
     S_m -> S_n, one table per (r, t).  The order is m = n - r - t, then r.
-    The width n! is checked against the budget by `_spanning_width`.
     """
-    s_min = 0 if gens.mode == UNITAL else 1
+    s_min = lowest_arity(gens.mode)
     by_arity: dict[int, list[OperadElement]] = {}
     for theta in gens.elements:
         by_arity.setdefault(theta.arity, []).append(theta)
@@ -340,11 +344,13 @@ def ideal_slice_spanning(
     cache_dir: str | Path | None = None,
     stats: dict | None = None,
 ) -> IdealSlice:
-    """Arity-n slice of the ideal generated by `gens`, by direct spanning.
-    Slices of arity above MAX_SLICE_ARITY are not cached, and a slice
-    whose file would pass MAX_SLICE_FILE_BYTES is not written."""
+    """Arity-n slice of the ideal generated by `gens`, by direct spanning;
+    zero and uncached where no generator reaches n.  No cache is kept above
+    MAX_SLICE_ARITY, nor written past MAX_SLICE_FILE_BYTES."""
     if n < 0:
         raise ValueError("arity must be nonnegative")
+    if not _reaches(gens, n):
+        return IdealSlice.zero(n)
     path = None
     if cache_dir is not None and n <= MAX_SLICE_ARITY:
         path = slice_cache_path(cache_dir, gens, n)
@@ -359,7 +365,7 @@ def ideal_slice_spanning(
                 return cached
     if stats is not None:
         stats["cache_hit"] = False
-    basis = RowBasis(_spanning_width(gens, n))
+    basis = RowBasis(_slice_width(n))
     seeds = [vec for vec in _spanning_core_vectors(gens, n) if basis.insert(vec)]
     _saturate_under_action(basis, seeds)
     result = IdealSlice(n, basis)
@@ -377,42 +383,39 @@ def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
     spanning path: it shares only `rank` with it, none of its index tables
     and not its S_n-closure.  Images aimed at an arity whose basis is
     already all of kS_m are not formed: inserting them could not grow it.
+    A window no generator reaches has no bases; any other over budget is refused.
     """
-    lo = 0 if gens.mode == UNITAL else 1
-    unital = gens.mode == UNITAL
-    total_capacity = 0
+    if not _reaches(gens, hi):
+        return {}
+    lo = lowest_arity(gens.mode)
+    width = 0
     for m in range(lo, hi + 1):
-        total_capacity += math.factorial(m)
-        if total_capacity > DEFAULT_BUDGET:
-            break
-    if total_capacity > DEFAULT_BUDGET and any(lo <= t.arity <= hi for t in gens.elements):
-        raise BudgetExceeded(
-            total_capacity, DEFAULT_BUDGET,
-            f"the closure window spans {lo}! + ... + {hi}! coordinates, "
-            f"more than the budget of {DEFAULT_BUDGET}",
-        )
+        width += math.factorial(m)
+        if width > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                width, DEFAULT_BUDGET,
+                f"the closure window spans {lo}! + ... + {hi}! coordinates, "
+                f"more than the budget of {DEFAULT_BUDGET}",
+            )
     bases = {m: RowBasis(math.factorial(m)) for m in range(lo, hi + 1)}
 
     def open_at(m: int) -> bool:
         basis = bases.get(m)
         return basis is not None and basis.rank < basis.dimension
 
-    rank_total = 0
     queue: list[tuple[dict[tuple[int, ...], int], int]] = []  # (integer row, arity)
     for theta in gens.elements:
         m = theta.arity
         row = _integral({p.seq: c for p, c in theta.terms.items()})
-        if lo <= m <= hi and bases[m].insert({rank(seq): c for seq, c in row.items()}):
+        if m <= hi and bases[m].insert({rank(seq): c for seq, c in row.items()}):
             queue.append((row, m))
-            rank_total += 1
-    while queue and rank_total < total_capacity:
+    while queue:
         row, m = queue.pop()
         translations = [g.seq for g in sn_generators(m)] if open_at(m) else ()
-        moves = _closure_moves(row, m, translations, open_at(m + 1), unital and open_at(m - 1))
+        moves = _closure_moves(row, m, translations, open_at(m + 1), lo == 0 and open_at(m - 1))
         for image, target, _, _ in moves:
             if bases[target].insert({rank(seq): c for seq, c in image.items()}):
                 queue.append((image, target))
-                rank_total += 1
     return bases
 
 
@@ -462,12 +465,11 @@ def ideal_slice_closure(
     bases = _closure_bases(gens, n + headroom)
     result = IdealSlice(n, bases[n]) if n in bases else IdealSlice.zero(n)
     if verify_stabilization:
-        wider = _closure_bases(gens, n + headroom + 1).get(n)
-        wider_dim = wider.rank if wider is not None else 0
-        if wider_dim != result.dim:
+        wider = _closure_bases(gens, n + headroom + 1)
+        if n in wider and wider[n].rank != result.dim:
             warnings.warn(
                 f"closure slice at arity {n} grew from {result.dim} to "
-                f"{wider_dim} when headroom increased to {headroom + 1}",
+                f"{wider[n].rank} when headroom increased to {headroom + 1}",
                 stacklevel=2,
             )
     return result
@@ -658,8 +660,6 @@ def poly_generated_slice(
 ) -> IdealSlice:
     """Slice of the ideal generated by multilinear polynomial generators."""
     gens = GeneratorSet([poly_to_operad(f) for f in polys], mode)
-    if not gens.elements:
-        return IdealSlice.zero(n)
     return ideal_slice_spanning(gens, n, cache_dir=cache_dir)
 
 
@@ -686,21 +686,21 @@ def verify_ideal_closure(
     For every basis element: all right translates stay in the same slice,
     paddings with the binary identity land one arity up (when that slice
     is inside the checked window), and unital contractions land one arity
-    down.  A missing arity between 1 and max_arity is a contract violation;
-    a missing arity-0 slice defaults to zero.
+    down.  A missing arity between 1 and max_arity is a contract violation,
+    and so is a mode other than the two; a missing arity-0 slice is zero.
     """
     for m in range(1, _nonnegative(max_arity) + 1):
         if m not in slices:
             raise ValueError(f"missing slice for arity {m}")
     # Every move lands in 0..max_arity, so only arity 0 can be missing.
     slice_at = {0: IdealSlice.zero(0), **slices}
+    down = lowest_arity(mode) == 0
     checked = 0
     for m in sorted(k for k in slices if k <= max_arity):
         translations = list(permutations(range(1, m + 1))) if m >= 2 else ()
-        up, down = m + 1 <= max_arity, mode == UNITAL and m >= 1
         for row in slices[m].basis.row_dicts():
             row = {unrank(i, m): c for i, c in row.items()}
-            for image, target, move, slot in _closure_moves(row, m, translations, up, down):
+            for image, target, move, slot in _closure_moves(row, m, translations, m < max_arity, down):
                 checked += 1
                 if not slice_at[target].basis.contains({rank(seq): c for seq, c in image.items()}):
                     where = "the slice" if target == m else f"arity {target}"
@@ -748,7 +748,7 @@ def roundtrip_check(gens: GeneratorSet, max_arity: int) -> RoundtripReport:
 def full_slice_map(gens: GeneratorSet, max_arity: int) -> dict[int, IdealSlice]:
     """Spanning slices for every arity up to the bound; arity 0 is included
     in unital mode, where contractions can land there."""
-    start = 0 if gens.mode == UNITAL else 1
+    start = lowest_arity(gens.mode)
     return {n: ideal_slice_spanning(gens, n) for n in range(start, _nonnegative(max_arity) + 1)}
 
 
@@ -758,8 +758,7 @@ def slices_equal(
     """Compare generated ideals arity by arity up to the bound."""
     if first.mode != second.mode:
         raise ValueError("generator sets must use the same mode")
-    start = 0 if first.mode == UNITAL else 1
-    for n in range(start, _nonnegative(max_arity) + 1):
+    for n in range(lowest_arity(first.mode), _nonnegative(max_arity) + 1):
         if ideal_slice_spanning(first, n) != ideal_slice_spanning(second, n):
             return False
     return True

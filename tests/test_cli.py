@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 import time
 
 import pytest
@@ -452,6 +454,48 @@ def test_flags_only_on_commands_that_read_them(capsys):
     code, payload = run_json(capsys, "phi", "--element", "1*(1,2)")
     assert code == 0
     assert payload["params"] == {"element": "1*(1,2)", "mode": "unital"}
+
+
+def test_nonunital_mode_refuses_arity_0_generators(capsys, tmp_path):
+    args = ("ideal-dim", "--gens", "1*()", "--n", "3")
+    code, payload = run_json(capsys, *args, "--mode", "nonunital")
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ValueError", "message": "nonunital mode has no elements below arity 1"
+    }
+    # unital mode contracts with it: the whole arity-3 slice
+    code, payload = run_json(capsys, *args)
+    assert (code, payload["result"]["dim"]) == (0, 6)
+    # a slice that no generator reaches is zero, and is neither read nor
+    # written through the cache
+    args = ("ideal-dim", "--gens", "1*(1,2,3,4)", "--mode", "nonunital", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *args, "--n", "3")
+    assert code == 0
+    assert json.loads(out)["result"] == {"arity": 3, "dim": 0, "ambient_dim": 6}
+    assert "cache_hit=False" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the default limit of 4300 digits on int-to-text conversion",
+)
+def test_a_result_too_long_for_text_is_a_structured_error(capsys, tmp_path):
+    # a nonunital generator of arity 1560 gives the zero slice at once;
+    # its ambient_dim n! has 4300 digits at n = 1558 and 4303 at n = 1559
+    gens = tmp_path / "gens"
+    gens.write_text("1*(" + ",".join(map(str, range(1, 1561))) + ")")
+    args = ("ideal-dim", "--mode", "nonunital", "--gens", f"@{gens}", "--n")
+    code, payload = run_json(capsys, *args, "1558")
+    assert code == 0
+    assert payload["result"] == {"arity": 1558, "dim": 0, "ambient_dim": math.factorial(1558)}
+    code, out, _ = run_cli(capsys, *args, "1559")
+    assert code == 1
+    payload = json.loads(out)
+    assert "result" not in payload
+    assert payload["error"]["type"] == "ValueError"
+    assert "digits" in payload["error"]["message"]
+    assert payload["params"]["n"] == 1559
 
 
 def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):

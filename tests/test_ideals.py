@@ -158,18 +158,45 @@ CANCELLING = [
 
 @st.composite
 def generator_sets(draw):
+    # Nonunital mode refuses arity-0 elements, so it draws none.
+    mode = draw(st.sampled_from([UNITAL, NONUNITAL]))
+    lowest = ideals_module.lowest_arity(mode)
     coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     elements = []
-    for arity in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+    for arity in draw(st.lists(st.integers(lowest, 4), min_size=1, max_size=3)):
         perms = draw(
             st.lists(st.sampled_from(all_permutations(arity)), min_size=1, max_size=6, unique=True)
         )
         elements.append(OperadElement(arity, {p: draw(coefficients) for p in perms}))
     if draw(st.booleans()):
         elements.append(draw(coefficients) * draw(st.sampled_from(CANCELLING)))
-    if draw(st.booleans()):
+    if lowest == 0 and draw(st.booleans()):
         elements.append(OperadElement(0, {identity(0): draw(coefficients)}))
-    return GeneratorSet(elements, draw(st.sampled_from([UNITAL, NONUNITAL])))
+    return GeneratorSet(elements, mode)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gens=generator_sets(), n=st.integers(0, 4))
+def test_spanning_equals_closure_on_generator_sets(gens, n):
+    # The two slice algorithms, in both modes and with arity-0 generators
+    # in unital mode.  The headroom lets the closure reach one arity past
+    # every generator, from where contractions come back down to n.
+    k_max = max(theta.arity for theta in gens.elements)
+    headroom = max(2, k_max - n + 1)
+    assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n, headroom)
+
+
+def test_the_mode_sets_the_lowest_arity():
+    # Nonunital mode has no nullary identity, so it refuses arity-0
+    # generators; a mode other than the two is refused wherever it enters.
+    with pytest.raises(ValueError, match="below arity 1"):
+        GeneratorSet([OperadElement.unit(0), OperadElement.unit(2)], NONUNITAL)
+    with pytest.raises(ValueError, match="below arity 1"):
+        poly_generated_slice([parse_poly("1")], 2, NONUNITAL)
+    for mode in ("Unital", "bogus", None):
+        with pytest.raises(ValueError, match="mode must be"):
+            GeneratorSet([OperadElement.unit(2)], mode)
+    assert [ideals_module.lowest_arity(m) for m in (UNITAL, NONUNITAL)] == [0, 1]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -809,6 +836,29 @@ def test_verify_ideal_closure_pinned(slices, max_arity, mode, expected):
 def test_verify_ideal_closure_missing_slice():
     with pytest.raises(ValueError):
         verify_ideal_closure({1: IdealSlice.zero(1)}, 2)
+
+
+def test_verify_ideal_closure_refuses_an_unknown_mode():
+    # The nonunital slices of 1*(1,2) are not closed under contraction.  A
+    # mistyped mode used to count as nonunital, and the check passed.
+    slices = full_slice_map(GeneratorSet([OperadElement.unit(2)], NONUNITAL), 3)
+    report = verify_ideal_closure(slices, 3, UNITAL)
+    assert report.failure == "arity 2: contraction at slot 1 escapes arity 1"
+    assert verify_ideal_closure(slices, 3, NONUNITAL).ok
+    for mode in ("Unital", "bogus"):
+        with pytest.raises(ValueError, match="mode must be"):
+            verify_ideal_closure(slices, 3, mode)
+
+
+def test_closure_builds_nothing_for_a_window_no_generator_reaches():
+    # A nonunital generator of arity 4003 reaches no arity up to 3000: the
+    # zero slice comes back without sizing the window 1! + ... + 3000!.
+    gens = GeneratorSet([OperadElement.unit(4003)], NONUNITAL)
+    with mock.patch.object(ideals_module.math, "factorial", wraps=math.factorial) as factorial:
+        slice_ = ideal_slice_closure(gens, 3000, 0)
+    assert slice_.arity == 3000 and slice_.dim == 0
+    # at most IdealSlice.zero(3000)'s own: its width and its check
+    assert factorial.call_count <= 2
 
 
 def _cancelling_row(rng, m):
