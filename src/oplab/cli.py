@@ -115,7 +115,7 @@ def _cmd_codim(args, diag) -> dict:
 def _cmd_ideal_dim(args, diag) -> dict:
     gens = _generator_set(args)
     if args.algorithm == "closure":
-        slice_ = ideal_slice_closure(gens, args.n, args.headroom)
+        slice_ = ideal_slice_closure(gens, args.n)
     else:
         diag["cache_hit"] = False  # a slice that no generator reaches skips the cache
         slice_ = ideal_slice_spanning(gens, args.n, cache_dir=_cache_dir(args), stats=diag)
@@ -240,11 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--pretty", action="store_true", help="indented JSON")
 
     # Flags that only some subcommands read are attached to those alone.
-    gens, budget, headroom, cache_dir = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    gens, budget, cache_dir = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     gens.add_argument("--gens")
     gens.add_argument("--polys")
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    headroom.add_argument("--headroom", type=int, default=2)
     cache_dir.add_argument("--cache-dir", default=None)
 
     parser = argparse.ArgumentParser(
@@ -266,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("ideal-dim", parents=[shared, gens, headroom, cache_dir])
+    p = sub.add_parser("ideal-dim", parents=[shared, gens, cache_dir])
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--algorithm",
         choices=["spanning", "closure"],
         default="spanning",
-        help="closure uses --headroom and skips the cache",
+        help="closure skips the cache",
     )
 
     p = sub.add_parser("membership", parents=[shared, gens, cache_dir])

@@ -29,7 +29,6 @@ import math
 import os
 import re
 import tempfile
-import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -238,11 +237,12 @@ def _slice_width(n: int) -> int:
     return width
 
 
-def _reaches(gens: GeneratorSet, n: int) -> bool:
-    """Whether the generated ideal can be nonzero at arity n: composing an
-    arity-k generator gives arity lowest * k or more, padding every one above."""
+def _reaching_arities(gens: GeneratorSet, n: int) -> list[int]:
+    """The arities of the generators that reach arity n, empty where the
+    generated ideal is zero there: composing an arity-k generator gives
+    arity lowest * k or more, padding every one above."""
     lowest = lowest_arity(gens.mode)
-    return any(lowest * theta.arity <= n for theta in gens.elements)
+    return [theta.arity for theta in gens.elements if lowest * theta.arity <= n]
 
 
 def _compositions(
@@ -349,7 +349,7 @@ def ideal_slice_spanning(
     MAX_SLICE_ARITY, nor written past MAX_SLICE_FILE_BYTES."""
     if n < 0:
         raise ValueError("arity must be nonnegative")
-    if not _reaches(gens, n):
+    if not _reaching_arities(gens, n):
         return IdealSlice.zero(n)
     path = None
     if cache_dir is not None and n <= MAX_SLICE_ARITY:
@@ -374,20 +374,27 @@ def ideal_slice_spanning(
     return result
 
 
-def _closure_bases(gens: GeneratorSet, hi: int) -> dict[int, RowBasis]:
-    """Fixpoint of the compositional closure moves inside arities <= hi.
+def _closure_bases(gens: GeneratorSet, n: int) -> dict[int, RowBasis]:
+    """Fixpoint of the compositional closure moves inside the arity window
+    lowest..hi, hi the larger of n and the arity of each generator reaching n.
 
     Moves (`_closure_moves`): right action by the generating pair of S_m,
     padding with the binary identity on either side, and (unital mode)
     contraction with the nullary identity.  Written independently of the
-    spanning path: it shares only `rank` with it, none of its index tables
-    and not its S_n-closure.  Images aimed at an arity whose basis is
-    already all of kS_m are not formed: inserting them could not grow it.
-    A window no generator reaches has no bases; any other over budget is refused.
+    spanning path: it shares only `rank` and `_reaching_arities` with it,
+    none of its index tables and not its S_n-closure.  Images aimed at an
+    arity whose basis is already all of kS_m are not formed: inserting them
+    could not grow it.  A window no generator reaches has no bases; any
+    other over budget is refused.
+
+    The window is exact at n: a spanning element is reached by contracting
+    theta's zero slots going down from k, then padding up to n and
+    translating, so no arity above max(n, k) is needed.
     """
-    if not _reaches(gens, hi):
+    reaching = _reaching_arities(gens, n)
+    if not reaching:
         return {}
-    lo = lowest_arity(gens.mode)
+    lo, hi = lowest_arity(gens.mode), max(n, *reaching)
     width = 0
     for m in range(lo, hi + 1):
         width += math.factorial(m)
@@ -447,32 +454,13 @@ def _closure_moves(
             yield accumulate(contracted), m - 1, "contraction at slot {}", i
 
 
-def ideal_slice_closure(
-    gens: GeneratorSet,
-    n: int,
-    headroom: int = 2,
-    *,
-    verify_stabilization: bool = False,
-) -> IdealSlice:
-    """Arity-n slice by compositional closure, exploring arities <= n+headroom.
-
-    Elements of arity above n can contract back into arity n (unital
-    mode), so the window matters; `verify_stabilization` re-runs with one
-    more arity of headroom and warns if the slice grows.
-    """
-    if n < 0 or headroom < 0:
-        raise ValueError("arity and headroom must be nonnegative")
-    bases = _closure_bases(gens, n + headroom)
-    result = IdealSlice(n, bases[n]) if n in bases else IdealSlice.zero(n)
-    if verify_stabilization:
-        wider = _closure_bases(gens, n + headroom + 1)
-        if n in wider and wider[n].rank != result.dim:
-            warnings.warn(
-                f"closure slice at arity {n} grew from {result.dim} to "
-                f"{wider[n].rank} when headroom increased to {headroom + 1}",
-                stacklevel=2,
-            )
-    return result
+def ideal_slice_closure(gens: GeneratorSet, n: int) -> IdealSlice:
+    """Arity-n slice by compositional closure, inside the window that
+    `_closure_bases` derives from n and the generators."""
+    if n < 0:
+        raise ValueError("arity must be nonnegative")
+    bases = _closure_bases(gens, n)
+    return IdealSlice(n, bases[n]) if n in bases else IdealSlice.zero(n)
 
 
 def _disjoint_multisets(masks: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:

@@ -156,7 +156,7 @@ def test_criterion_5_cross_algorithm_agreement():
             terms[identity(arity)] = Fraction(1)
         gens = GeneratorSet([OperadElement(arity, terms)])
         for n in range(1, 6):
-            if ideal_slice_spanning(gens, n) != ideal_slice_closure(gens, n, 2):
+            if ideal_slice_spanning(gens, n) != ideal_slice_closure(gens, n):
                 ok, detail = False, f"trial {trial} disagrees at arity {n}"
                 break
         if not ok:

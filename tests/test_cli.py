@@ -122,11 +122,15 @@ def test_ideal_dim_closure_algorithm(capsys):
         "3",
         "--algorithm",
         "closure",
-        "--headroom",
-        "2",
     )
     assert code == 0
     assert payload["result"]["dim"] == 5
+    # a unital generator above n + 2 contracts down to n = 1
+    code, payload = run_json(
+        capsys, "ideal-dim", "--gens", "1*(1,2,3,4)", "--n", "1", "--algorithm", "closure"
+    )
+    assert code == 0
+    assert payload["result"] == {"ambient_dim": 1, "arity": 1, "dim": 1}
 
 
 def test_determinism_without_cache(capsys):
@@ -328,8 +332,8 @@ def test_check_identity_refuses_too_many_tuples(capsys):
 
 def test_ideal_dim_refuses_slices_wider_than_the_budget(capsys):
     # 11! = 39,916,800 coordinates for spanning at n = 11, and 0! + ... + 11!
-    # in the closure window of n = 9 with headroom 2: both above 10^7
-    for args in (("--n", "11"), ("--n", "9", "--algorithm", "closure", "--headroom", "2")):
+    # in the closure window of n = 11: both above 10^7
+    for args in (("--n", "11"), ("--n", "11", "--algorithm", "closure")):
         start = time.perf_counter()
         code, payload = run_json(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", *args)
         assert time.perf_counter() - start < 1.0
@@ -340,7 +344,7 @@ def test_ideal_dim_refuses_slices_wider_than_the_budget(capsys):
 
 def test_ideal_dim_refuses_huge_arities_without_forming_n_factorial(capsys):
     # the refusal stops at the first partial product (or sum) of n! over
-    # the budget: 10^6! or 0! + ... + 3002! is never formed
+    # the budget: 10^6! or 0! + ... + 3000! is never formed
     for args in (("--n", "1000000"), ("--n", "3000", "--algorithm", "closure")):
         start = time.perf_counter()
         code, payload = run_json(capsys, "ideal-dim", "--polys", "x1*x2-x2*x1", *args)
@@ -428,7 +432,7 @@ def test_cache_write_and_read_load_no_openssl(tmp_path):
     expected = (
         '{"command":"ideal-dim","params":{"algorithm":"spanning","cache_dir":'
         + json.dumps(str(tmp_path))
-        + ',"headroom":2,"mode":"unital","n":5,"polys":"x1*x2*x3-x2*x1*x3-x3*x1*x2+x3*x2*x1"},'
+        + ',"mode":"unital","n":5,"polys":"x1*x2*x3-x2*x1*x3-x3*x1*x2+x3*x2*x1"},'
         '"result":{"ambient_dim":120,"arity":5,"dim":104},"version":"0.1.0"}\n'
     )
     assert [out for out, _ in outs] == [expected, expected]
@@ -448,7 +452,10 @@ def test_flags_only_on_commands_that_read_them(capsys):
     assert main(
         ["check-identity", "--poly", "x1", "--algebra", '{"type":"matrix","k":1}', "--budget", "5"]
     ) == 2
-    assert main(["codim", "--algebra", '{"type":"matrix","k":1}', "--n", "2", "--headroom", "1"]) == 2
+    # the closure derives its arity window, so no command takes --headroom
+    assert main(
+        ["ideal-dim", "--polys", "x1", "--n", "2", "--algorithm", "closure", "--headroom", "1"]
+    ) == 2
     assert main(["phi", "--element", "1*(1,2)", "--cache-dir", "somewhere"]) == 2
     capsys.readouterr()
     code, payload = run_json(capsys, "phi", "--element", "1*(1,2)")

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import warnings
 from itertools import permutations, product, zip_longest
 from fractions import Fraction
 from unittest import mock
@@ -125,10 +124,10 @@ def test_commutator_slice_dimension_oracle():
 
 def test_spanning_equals_closure_on_examples():
     gens = commutator_gens()
-    assert ideal_slice_closure(GeneratorSet([OperadElement.unit(1)]), 2, 1).dim == 2
-    c2 = ideal_slice_closure(gens, 2, 2)
+    assert ideal_slice_closure(GeneratorSet([OperadElement.unit(1)]), 2).dim == 2
+    c2 = ideal_slice_closure(gens, 2)
     assert c2.dim == 1 and c2 == ideal_slice_spanning(gens, 2)
-    c3 = ideal_slice_closure(gens, 3, 2)
+    c3 = ideal_slice_closure(gens, 3)
     assert c3.dim == 5 and c3 == ideal_slice_spanning(gens, 3)
 
 
@@ -137,7 +136,7 @@ def test_spanning_equals_closure_random_generators():
     for _ in range(6):
         gens = GeneratorSet([random_element(rng, rng.randint(1, 3))])
         for n in range(1, 5):
-            assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n, 2)
+            assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n)
 
 
 def test_spanning_equals_closure_nonunital():
@@ -145,7 +144,7 @@ def test_spanning_equals_closure_nonunital():
     for _ in range(4):
         gens = GeneratorSet([random_element(rng, rng.randint(1, 3))], NONUNITAL)
         for n in range(1, 5):
-            assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n, 2)
+            assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n)
 
 
 # Elements some of whose contractions cancel to zero.
@@ -175,15 +174,38 @@ def generator_sets(draw):
     return GeneratorSet(elements, mode)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(gens=generator_sets(), n=st.integers(0, 4))
 def test_spanning_equals_closure_on_generator_sets(gens, n):
-    # The two slice algorithms, in both modes and with arity-0 generators
-    # in unital mode.  The headroom lets the closure reach one arity past
-    # every generator, from where contractions come back down to n.
-    k_max = max(theta.arity for theta in gens.elements)
-    headroom = max(2, k_max - n + 1)
-    assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n, headroom)
+    # The two slice algorithms, in both modes, with arity-0 generators in
+    # unital mode and generators above n in either.
+    assert ideal_slice_spanning(gens, n) == ideal_slice_closure(gens, n)
+
+
+@pytest.mark.parametrize("mode", [UNITAL, NONUNITAL])
+@pytest.mark.parametrize("k", [4, 5])
+def test_closure_reaches_down_from_generators_above_n(mode, k):
+    # A unital generator of arity k contracts down to every arity below it,
+    # so each slice up to k - 1 is all of kS_n; a window that stops short of
+    # k misses it.  In nonunital mode it reaches no arity below k.
+    gens = GeneratorSet([OperadElement.unit(k)], mode)
+    for n in range(k):
+        closure = ideal_slice_closure(gens, n)
+        assert closure == ideal_slice_spanning(gens, n)
+        assert closure.dim == (math.factorial(n) if mode == UNITAL else 0)
+
+
+@pytest.mark.parametrize(
+    "gens, n, window",
+    [
+        (GeneratorSet([OperadElement.unit(4), poly_to_operad(COMMUTATOR)], NONUNITAL), 2, [1, 2]),
+        (GeneratorSet([OperadElement.unit(4)], UNITAL), 1, [0, 1, 2, 3, 4]),
+    ],
+)
+def test_closure_window_is_exact(gens, n, window):
+    # lowest arity up to n or the largest arity of a generator reaching n,
+    # and no further: a nonunital generator above n reaches nothing
+    assert sorted(ideals_module._closure_bases(gens, n)) == window
 
 
 def test_the_mode_sets_the_lowest_arity():
@@ -368,23 +390,6 @@ def test_closure_edge_cases():
         ideals_module._saturate_under_action(basis, [seed])
         assert basis.rank == width
         assert basis == reference_closure([SparseVector(width, seed)], n)
-
-
-def test_closure_stabilization_flag_is_quiet_for_commutator():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        slice_ = ideal_slice_closure(commutator_gens(), 2, 2, verify_stabilization=True)
-    assert slice_.dim == 1
-
-
-def test_closure_stabilization_warning_fires_when_window_too_small():
-    # with no headroom the arity-2 generator is outside the explored window,
-    # so the arity-1 slice is missed entirely; one more arity finds it
-    gens = GeneratorSet([OperadElement.unit(2)])
-    with pytest.warns(UserWarning, match="grew"):
-        slice_ = ideal_slice_closure(gens, 1, 0, verify_stabilization=True)
-    assert slice_.dim == 0
-    assert ideal_slice_closure(gens, 1, 1).dim == 1
 
 
 def test_identities_slice_matrix_algebras():
@@ -855,7 +860,7 @@ def test_closure_builds_nothing_for_a_window_no_generator_reaches():
     # zero slice comes back without sizing the window 1! + ... + 3000!.
     gens = GeneratorSet([OperadElement.unit(4003)], NONUNITAL)
     with mock.patch.object(ideals_module.math, "factorial", wraps=math.factorial) as factorial:
-        slice_ = ideal_slice_closure(gens, 3000, 0)
+        slice_ = ideal_slice_closure(gens, 3000)
     assert slice_.arity == 3000 and slice_.dim == 0
     # at most IdealSlice.zero(3000)'s own: its width and its check
     assert factorial.call_count <= 2
@@ -974,8 +979,8 @@ def test_nonunital_mode():
     gens_n = GeneratorSet([OperadElement.unit(2)], NONUNITAL)
     assert ideal_slice_spanning(gens_u, 1).dim == 1
     assert ideal_slice_spanning(gens_n, 1).dim == 0
-    assert ideal_slice_closure(gens_u, 1, 2).dim == 1
-    assert ideal_slice_closure(gens_n, 1, 2).dim == 0
+    assert ideal_slice_closure(gens_u, 1).dim == 1
+    assert ideal_slice_closure(gens_n, 1).dim == 0
     # below the generator arity the nonunital slices are empty
     nc = commutator_gens(NONUNITAL)
     for n in (0, 1):
@@ -1352,11 +1357,17 @@ def test_evaluation_refuses_slices_wider_than_the_budget():
 
 def test_closure_refuses_a_window_wider_than_the_budget():
     commutator = GeneratorSet([poly_to_operad(parse_poly("x1*x2 - x2*x1"))])
-    with pytest.raises(BudgetExceeded) as refused:
-        ideal_slice_closure(commutator, 9, headroom=2)
-    assert refused.value.needed == sum(math.factorial(m) for m in range(12))
+    # the window of n = 11 itself, and a unital generator of arity 11
+    # widening the window of n = 3 to 0..11
+    for gens, n in ((commutator, 11), (GeneratorSet([OperadElement.unit(11)]), 3)):
+        with pytest.raises(BudgetExceeded) as refused:
+            ideal_slice_closure(gens, n)
+        assert refused.value.needed == sum(math.factorial(m) for m in range(12)) == 43_954_714
+        assert str(refused.value) == (
+            "the closure window spans 0! + ... + 11! coordinates, more than the budget of 10000000"
+        )
     # a window that holds no generator builds nothing
-    assert ideal_slice_closure(GeneratorSet([]), 9, headroom=2) == IdealSlice.zero(9)
+    assert ideal_slice_closure(GeneratorSet([]), 9) == IdealSlice.zero(9)
 
 
 @given(
