@@ -15,12 +15,12 @@ row space under the action afterwards.  When the unit is a basis vector,
 unit factors drop out of every product, so a tuple's row is its
 unit-free core's row lifted through the slot-deletion map.  Within one
 core, permutations that give the same arrangement of its basis indices
-give the same product, so each arrangement is evaluated once.  For
-generator arities k <= n the spanning family is formed once per
-S_k-orbit of compositions, from the S_k-closed span of the arity-k
-generators: a permuted composition gives a right-translate, which the
-closure under S_n supplies.  All of these are lossless; nothing is
-sampled.
+give the same product, so each arrangement is evaluated once.  Once
+generators of arity n or more are contracted to arities n and n - 1, the
+spanning family is formed per S_k-orbit of compositions, from the
+S_k-closed span of the generators of each arity k < n: a permuted
+composition gives a right-translate, which the closure under S_n
+supplies.  All of these are lossless; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate as running_sums
-from itertools import combinations_with_replacement, count, groupby, permutations
+from itertools import combinations, combinations_with_replacement, count, groupby, permutations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -139,7 +138,9 @@ class IdealSlice:
 
     @classmethod
     def zero(cls, arity: int) -> "IdealSlice":
-        return cls(arity, RowBasis(math.factorial(arity)))
+        zero = cls.__new__(cls)  # unchecked, so arity! is formed once
+        zero.arity, zero.basis = arity, RowBasis(math.factorial(arity))
+        return zero
 
     @property
     def dim(self) -> int:
@@ -237,31 +238,42 @@ def _slice_width(n: int) -> int:
     return width
 
 
-def _reaching_arities(gens: GeneratorSet, n: int) -> list[int]:
-    """The arities of the generators that reach arity n, empty where the
-    generated ideal is zero there: composing an arity-k generator gives
-    arity lowest * k or more, padding every one above."""
+def _reaching(gens: GeneratorSet, n: int) -> list[OperadElement]:
+    """The generators that reach arity n, none where the generated ideal is
+    zero there: composing an arity-k generator gives arity lowest * k or
+    more, padding every one above."""
     lowest = lowest_arity(gens.mode)
-    return [theta.arity for theta in gens.elements if lowest * theta.arity <= n]
+    return [theta for theta in gens.elements if lowest * theta.arity <= n]
 
 
-def _compositions(
-    total: int, parts: int, minimum: int, *, ordered: bool, largest: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Tuples of `parts` ints >= minimum with the given total: all of them
-    if `ordered`, else the nonincreasing ones only, one from each
-    S_parts-orbit.  `largest` bounds the first entry."""
+def _contractions(theta: OperadElement, arities: Sequence[int]) -> Iterator[tuple[int, dict]]:
+    """(j, row) per nonzero contraction of theta, of arity k, to each j in
+    `arities`: every term keeps the same j letters, renumbered in order.
+    Refused before any is formed if sum comb(k, j) * terms > DEFAULT_BUDGET."""
+    k = theta.arity
+    needed = sum(math.comb(k, j) for j in arities) * len(theta.terms)
+    if needed > DEFAULT_BUDGET:
+        message = f"contracting arity {k} to arity {arities[0]} forms {needed} terms, more than"
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, f"{message} the budget of {DEFAULT_BUDGET}")
+    terms = _integral({p.seq: c for p, c in theta.terms.items()}).items()
+    for j in arities:
+        for kept in combinations(range(1, k + 1), j):
+            new = dict(zip(kept, range(1, j + 1)))  # the kept letters, renumbered
+            row = accumulate((rank([new[v] for v in seq if v in new]), c) for seq, c in terms)
+            if row:
+                yield j, row
+
+
+def _compositions(total: int, parts: int, minimum: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The nonincreasing tuples of `parts` ints in minimum..largest with the
+    given total, one from each S_parts-orbit of compositions."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    lowest = minimum if ordered else max(minimum, -(-total // parts))
-    highest = total - minimum * (parts - 1)
-    if largest is not None:
-        highest = min(highest, largest)
-    for head in range(lowest, highest + 1):
-        cap = None if ordered else head
-        for tail in _compositions(total - head, parts - 1, minimum, ordered=ordered, largest=cap):
+    highest = min(largest, total - minimum * (parts - 1))
+    for head in range(max(minimum, -(-total // parts)), highest + 1):
+        for tail in _compositions(total - head, parts - 1, minimum, head):
             yield (head,) + tail
 
 
@@ -271,48 +283,37 @@ def _spanning_core_vectors(gens: GeneratorSet, n: int) -> Iterator[dict[int, int
     contractions (s_i = 0) only in unital mode.  Its S_n-closure is the
     slice of the generated ideal.
 
-    Per generator arity k <= n, theta runs over the primitive rows of the
-    generators' span closed under S_k, and s over nonincreasing
-    compositions only.  That is exact: (theta.sigma) o (1_{s_1},...,1_{s_k})
-    is a block-permutation translate of theta o (1_{s_sigma^-1(1)},...), the
-    unit wrap carries right translates to right translates, and the
-    family is closed under S_n afterwards.  An arity k > n, which only
-    unital contractions reach, keeps the generators themselves and every
-    ordered composition: there a k!-wide closure would cost more than the
-    S_n-closure it saves.
+    A generator of arity k >= n has k - n or more s_i = 0: with exactly
+    k - n, the rest are 1 and the middle is a contraction to arity n, kept
+    as it is; with more (unital mode), an element of a contraction to
+    n - 1, which joins the arity-(n-1) generators.  Per arity k < n, theta
+    runs over the primitive rows of the generators' span closed under S_k,
+    and s over nonincreasing compositions only.  That is exact:
+    (theta.sigma) o (1_{s_1},...,1_{s_k}) is a block-permutation translate
+    of theta o (1_{s_sigma^-1(1)},...), the unit wrap carries right
+    translates to right translates, and the family is closed under S_n
+    afterwards, so no S_n-closure is formed here.
 
-    Runs on permutation indices: the contracted middle is formed through
-    an index table S_k -> S_m, or for k > n term by term, and dropped if
-    it cancels; the unit wrap is an injective shift of indices
-    S_m -> S_n, one table per (r, t).  The order is m = n - r - t, then r.
+    Runs on permutation indices: the contracted middle is formed through an
+    index table S_k -> S_m, and dropped if it cancels; the unit wrap is an
+    injective shift S_m -> S_n, one table per (r, t), in order of m, then r.
     """
     s_min = lowest_arity(gens.mode)
-    by_arity: dict[int, list[OperadElement]] = {}
-    for theta in gens.elements:
-        by_arity.setdefault(theta.arity, []).append(theta)
-    # middles[m]: the nonzero contracted middles of arity m
+    # middles[m]: the nonzero middles of arity m; by_arity[k]: the generator rows of arity k < n
     middles: list[list[dict[int, int]]] = [[] for _ in range(n + 1)]
-    for k, thetas in sorted(by_arity.items()):
-        if s_min * k > n:
-            continue
-        ordered = k > n
-        if ordered:
-            # Keyed by permutation: nothing of size k! is built.
-            rows = [_integral(theta.terms) for theta in thetas]
-            support = {p for row in rows for p in row}
-        else:
-            span = RowBasis(math.factorial(k))
-            seeds = [vec.entries for vec in map(to_vector, thetas) if span.insert(vec)]
-            _saturate_under_action(span, seeds)
-            rows = span.row_dicts()
+    by_arity: dict[int, list[dict[int, int]]] = {}
+    for theta in _reaching(gens, n):
+        k = theta.arity  # below n, theta is its own contraction
+        arities = (k,) if k < n else (n, n - 1) if s_min == 0 < n else (n,)
+        for j, row in _contractions(theta, arities):
+            (middles[n] if j == n else by_arity.setdefault(j, [])).append(row)
+    for k, rows in sorted(by_arity.items()):
+        span = RowBasis(math.factorial(k))
+        _saturate_under_action(span, [row for row in rows if span.insert(row)])
+        rows = span.row_dicts()
         for m in range(n + 1):
-            for s in _compositions(m, k, s_min, ordered=ordered):
-                if ordered:
-                    # blocks[i]: the letters that slot i + 1 expands to
-                    blocks = [range(e - size + 1, e + 1) for size, e in zip(s, running_sums(s))]
-                    table = {p: rank([v for i in p.seq for v in blocks[i - 1]]) for p in support}
-                else:
-                    table = unit_contraction_table(s)
+            for s in _compositions(m, k, s_min, m):
+                table = unit_contraction_table(s)
                 for row in rows:
                     # Summed inline: through linalg.accumulate this loop ran
                     # 1.8-2.2x slower (s_4 to arity 7, [[x1,x2],x3] to 8).
@@ -349,7 +350,7 @@ def ideal_slice_spanning(
     MAX_SLICE_ARITY, nor written past MAX_SLICE_FILE_BYTES."""
     if n < 0:
         raise ValueError("arity must be nonnegative")
-    if not _reaching_arities(gens, n):
+    if not _reaching(gens, n):
         return IdealSlice.zero(n)
     path = None
     if cache_dir is not None and n <= MAX_SLICE_ARITY:
@@ -378,23 +379,22 @@ def _closure_bases(gens: GeneratorSet, n: int) -> dict[int, RowBasis]:
     """Fixpoint of the compositional closure moves inside the arity window
     lowest..hi, hi the larger of n and the arity of each generator reaching n.
 
-    Moves (`_closure_moves`): right action by the generating pair of S_m,
-    padding with the binary identity on either side, and (unital mode)
-    contraction with the nullary identity.  Written independently of the
-    spanning path: it shares only `rank` and `_reaching_arities` with it,
-    none of its index tables and not its S_n-closure.  Images aimed at an
-    arity whose basis is already all of kS_m are not formed: inserting them
-    could not grow it.  A window no generator reaches has no bases; any
-    other over budget is refused.
+    Moves (`_closure_moves`): translates by the generating pair of S_n at
+    arity n, paddings with the binary identity on either side, and (unital
+    mode) contractions with the nullary identity.  Independent of the
+    spanning path, it shares only `rank` and `_reaching` with it.  Images
+    aimed at an arity whose basis is already all of kS_m are not formed:
+    inserting them could not grow it.  A window no generator reaches has
+    no bases; any other over budget is refused.
 
-    The window is exact at n: a spanning element is reached by contracting
-    theta's zero slots going down from k, then padding up to n and
-    translating, so no arity above max(n, k) is needed.
+    Exact at n: a spanning element is reached by contracting theta's zero
+    slots going down from k, padding up to n and translating last, so no
+    arity above max(n, k) and no translate below n is needed.
     """
-    reaching = _reaching_arities(gens, n)
+    reaching = _reaching(gens, n)
     if not reaching:
         return {}
-    lo, hi = lowest_arity(gens.mode), max(n, *reaching)
+    lo, hi = lowest_arity(gens.mode), max(n, *(theta.arity for theta in reaching))
     width = 0
     for m in range(lo, hi + 1):
         width += math.factorial(m)
@@ -411,14 +411,14 @@ def _closure_bases(gens: GeneratorSet, n: int) -> dict[int, RowBasis]:
         return basis is not None and basis.rank < basis.dimension
 
     queue: list[tuple[dict[tuple[int, ...], int], int]] = []  # (integer row, arity)
-    for theta in gens.elements:
+    for theta in reaching:
         m = theta.arity
         row = _integral({p.seq: c for p, c in theta.terms.items()})
-        if m <= hi and bases[m].insert({rank(seq): c for seq, c in row.items()}):
+        if bases[m].insert({rank(seq): c for seq, c in row.items()}):
             queue.append((row, m))
     while queue:
         row, m = queue.pop()
-        translations = [g.seq for g in sn_generators(m)] if open_at(m) else ()
+        translations = [g.seq for g in sn_generators(n)] if m == n and open_at(n) else ()
         moves = _closure_moves(row, m, translations, open_at(m + 1), lo == 0 and open_at(m - 1))
         for image, target, _, _ in moves:
             if bases[target].insert({rank(seq): c for seq, c in image.items()}):

@@ -353,6 +353,21 @@ def test_ideal_dim_refuses_huge_arities_without_forming_n_factorial(capsys):
         assert payload["error"]["type"] == "BudgetExceeded"
 
 
+def test_ideal_dim_refuses_contractions_over_the_budget(capsys):
+    # the unit of arity 60 contracts to arity 10 in comb(60, 10) ways, and
+    # to arity 9 in comb(60, 9): refused before one is formed
+    unit = "1*(" + ",".join(map(str, range(1, 61))) + ")"
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "ideal-dim", "--gens", unit, "--n", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"] == {
+        "type": "BudgetExceeded",
+        "message": "contracting arity 60 to arity 10 forms 90177170226 terms, "
+        "more than the budget of 10000000",
+    }
+
+
 @pytest.mark.parametrize(
     "algebra", ['{"type":"matrix","k":2}', '{"type":"grassmann","generators":2}']
 )

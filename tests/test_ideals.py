@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from itertools import permutations, product, zip_longest
 from fractions import Fraction
 from unittest import mock
@@ -208,6 +209,30 @@ def test_closure_window_is_exact(gens, n, window):
     assert sorted(ideals_module._closure_bases(gens, n)) == window
 
 
+def test_closure_translates_only_at_the_arity():
+    # Contracting, then padding up to n, then translating reaches every
+    # spanning element, so the closure asks for the generating pair of S_n
+    # and of no other symmetric group.  A unital unit(8) at n = 1 then fills
+    # no slice of arity 2..8.
+    rng = random.Random(11)
+    terms = rng.sample(all_permutations(7), 4)
+    sparse = OperadElement(7, {p: Fraction(rng.choice([-2, -1, 1, 3])) for p in terms})
+    cases = [
+        (commutator_gens(), 3),
+        (GeneratorSet([OperadElement.unit(8)]), 1),
+        (GeneratorSet([sparse]), 3),
+        (GeneratorSet([OperadElement.unit(4), poly_to_operad(COMMUTATOR)], NONUNITAL), 2),
+    ]
+    real = ideals_module.sn_generators
+    for gens, n in cases:
+        with mock.patch.object(ideals_module, "sn_generators", wraps=real) as asked:
+            closure = ideal_slice_closure(gens, n)
+        # none at all where the arity-n basis fills before it is translated
+        assert {call.args for call in asked.call_args_list} <= {(n,)}
+        assert closure == ideal_slice_spanning(gens, n)
+    assert ideal_slice_closure(GeneratorSet([OperadElement.unit(8)]), 1).dim == 1
+
+
 def test_the_mode_sets_the_lowest_arity():
     # Nonunital mode has no nullary identity, so it refuses arity-0
     # generators; a mode other than the two is refused wherever it enters.
@@ -317,10 +342,10 @@ def test_spanning_matches_reference_on_proper_submodules(gens, n):
 
 def test_spanning_builds_no_closure_above_the_arity():
     # A generator of arity k > n has no composition in nonunital mode and
-    # is contracted term by term in unital mode: neither a k!-wide closure
-    # nor a k!-long contraction table is built.
-    # x1x2x3[x4,x5]x6x7 survives only contractions that keep x4 and x5,
-    # none of which is monotone, so every ordered composition is needed.
+    # is contracted to arities n and n - 1 term by term in unital mode:
+    # neither a k!-wide closure nor a k!-long contraction table is built.
+    # x1x2x3[x4,x5]x6x7 survives only contractions that keep x4 and x5;
+    # the others cancel and are dropped.
     rng = random.Random(7)
     perms = all_permutations(7)
     sparse = OperadElement(7, {p: Fraction(rng.choice([-2, -1, 1, 3])) for p in rng.sample(perms, 5)})
@@ -351,6 +376,78 @@ def test_spanning_builds_no_closure_above_the_arity():
                 assert slice_.basis == reference_closure(spanning_core_vectors_reference(gens, n), n)
         if mode == UNITAL and theta is commutator:
             assert slice_.dim > 0
+
+
+@st.composite
+def unital_sets_reaching_down(draw):
+    # Generators of arities n + 1 .. n + 3, which reach n by contraction
+    # only, mixed with generators of arity <= n.  Each is a sum of right
+    # translates of one factor, so that its contractions to n, and those
+    # to n - 1 and below, span proper submodules that differ: 1 - tau, tau
+    # an adjacent swap, lies in the commutator ideal, whose arity-2 part
+    # no contraction to arity 1 reaches; the sum of S_k (k <= 4) contracts
+    # to sums of S_n, which span a line, and to sums of S_{n-1}, whose
+    # paddings leave it; 1 +- sigma, sigma an involution, lies between.
+    n = draw(st.integers(0, 4))
+    coefficients = st.integers(-2, 2).filter(bool)
+    above = draw(st.lists(st.integers(n + 1, n + 3), min_size=1, max_size=2))
+    elements = []
+    for arity in above + draw(st.lists(st.integers(0, n), max_size=1)):
+        perms = all_permutations(arity)
+        factor = OperadElement(arity, {perms[0]: Fraction(1)})
+        kind = draw(st.sampled_from(["swap", "sum", "involution"])) if arity >= 2 else None
+        if kind == "swap":
+            i = draw(st.integers(0, arity - 2))
+            tau = list(range(1, arity + 1))
+            tau[i : i + 2] = [i + 2, i + 1]
+            factor = factor - OperadElement(arity, {Permutation(tau): Fraction(1)})
+        elif kind == "sum" and arity <= 4:
+            factor = OperadElement(arity, {p: Fraction(1) for p in perms})
+        elif kind is not None:
+            involutions = [p for p in perms[1:] if multiply(p, p) == perms[0]]
+            sign = Fraction(draw(st.sampled_from([1, -1])))
+            factor = factor + OperadElement(arity, {draw(st.sampled_from(involutions)): sign})
+        element = OperadElement.zero(arity)
+        for p in draw(st.lists(st.sampled_from(perms), min_size=1, max_size=2, unique=True)):
+            element = element + draw(coefficients) * act(factor, p)
+        if not element.is_zero():
+            elements.append(element)
+    assume(any(e.arity > n for e in elements))
+    return GeneratorSet(elements), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=unital_sets_reaching_down())
+def test_contracting_above_the_arity_matches_reference(case):
+    # A generator of arity k >= n gives its contractions to arity n as they
+    # are, and those to n - 1 join the arity-(n-1) generators; the
+    # reference composes every generator with every ordered composition.
+    gens, n = case
+    expected = reference_closure(spanning_core_vectors_reference(gens, n), n)
+    assert ideal_slice_spanning(gens, n).basis == expected
+
+
+def test_contractions_are_refused_before_they_are_formed():
+    # unit(60) has comb(60, 10) + comb(60, 9) = 90,177,170,226 one-term
+    # contractions to arities 10 and 9: refused at once; unit(20) has
+    # comb(20, 5) + comb(20, 4) = 20,349 to arities 5 and 4, which fit
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as refused:
+        ideal_slice_spanning(GeneratorSet([OperadElement.unit(60)]), 10)
+    assert time.perf_counter() - start < 1.0
+    assert refused.value.needed == math.comb(60, 10) + math.comb(60, 9)
+    assert str(refused.value) == (
+        "contracting arity 60 to arity 10 forms 90177170226 terms, more than the budget of 10000000"
+    )
+    assert ideal_slice_spanning(GeneratorSet([OperadElement.unit(20)]), 5).dim == 120
+
+
+def test_zero_slice_forms_the_factorial_once():
+    with mock.patch.object(ideals_module.math, "factorial", wraps=math.factorial) as factorial:
+        zero = IdealSlice.zero(300)
+    assert factorial.call_count == 1
+    assert (zero.arity, zero.dim, zero.basis.dimension) == (300, 0, math.factorial(300))
+    assert zero == IdealSlice(300, RowBasis(math.factorial(300)))
 
 
 @st.composite
@@ -862,8 +959,8 @@ def test_closure_builds_nothing_for_a_window_no_generator_reaches():
     with mock.patch.object(ideals_module.math, "factorial", wraps=math.factorial) as factorial:
         slice_ = ideal_slice_closure(gens, 3000)
     assert slice_.arity == 3000 and slice_.dim == 0
-    # at most IdealSlice.zero(3000)'s own: its width and its check
-    assert factorial.call_count <= 2
+    # only IdealSlice.zero(3000)'s own, its width
+    assert factorial.call_count == 1
 
 
 def _cancelling_row(rng, m):
