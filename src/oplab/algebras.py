@@ -16,6 +16,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .freealg import NcPoly, format_poly, multilinearize, operad_to_poly, poly_to_operad
+from .linalg import DEFAULT_BUDGET, BudgetExceeded, charge
 from .linalg import RowBasis, SparseVector, as_fraction, format_rational
 from .operad import OperadElement
 
@@ -36,27 +37,6 @@ __all__ = [
     "matrix_algebra",
     "tensor_product",
 ]
-
-# The default cap on exhaustive work: the tuples an identity computation
-# enumerates, and dim^3, the bound on the associativity checks of an
-# algebra built from a spec.
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested exhaustive enumeration is larger than the budget.
-
-    `message` replaces the default text, which counts tuple evaluations;
-    a refusal of a width such as n! says what spans it instead (from
-    n = 1559 on, n! has more digits than the interpreter converts to
-    text), and its `needed` may be a lower bound of that width."""
-
-    def __init__(self, needed: int, budget: int, message: str | None = None) -> None:
-        super().__init__(
-            message or f"enumeration needs {needed} tuple evaluations, budget is {budget}"
-        )
-        self.needed = needed
-        self.budget = budget
 
 
 class AlgebraError(ValueError):
@@ -576,14 +556,14 @@ def is_identity(poly: NcPoly, algebra: StructureAlgebra) -> bool:
     By multilinearity it suffices to evaluate on every tuple of basis
     elements, so the test enumerates all dim^n tuples and stops at the
     first nonzero value.  Refuses with BudgetExceeded, before any tuple
-    is evaluated, when dim^n exceeds DEFAULT_BUDGET.
+    is evaluated, when dim^n exceeds DEFAULT_BUDGET; past n = 24, the
+    budget's bit length, it charges dim^24, already over it for dim >= 2.
     """
     theta = poly_to_operad(poly)
     n = theta.arity
     if n == 0:
         return evaluate_nullary(theta, algebra).is_zero()
-    if algebra.dim**n > DEFAULT_BUDGET:
-        raise BudgetExceeded(algebra.dim**n, DEFAULT_BUDGET)
+    charge([algebra.dim ** min(n, DEFAULT_BUDGET.bit_length())])
     coeffs = list(theta.terms.values())
     products = _word_evaluator(algebra.columns, [perm.seq for perm in theta.terms])
     for tup in product(range(algebra.dim), repeat=n):

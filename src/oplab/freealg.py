@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .linalg import _Combination, accumulate, format_sum
+from .linalg import _Combination, accumulate, charge, format_sum
 from .operad import OperadElement
 from .perms import ArityMismatch, Permutation
 
@@ -359,6 +359,21 @@ def _polarize(poly: NcPoly, variable: int, fresh_start: int) -> tuple[NcPoly, in
     return result, fresh_start + degree
 
 
+def _words_formed(components: Mapping[tuple[tuple[int, int], ...], dict]) -> Iterator[int]:
+    """Running count of the words that polarizing the components forms,
+    multiplied out one factor of each d! at a time, so that a refusal
+    stops at a total within a factor of d of the budget."""
+    done = 0
+    for profile, terms in components.items():
+        count = len(terms)
+        for _, degree in profile:
+            for factor in range(2, degree + 1):
+                count *= factor
+                yield done + count
+        done += count
+        yield done
+
+
 def _renumber_by_first_occurrence(poly: NcPoly) -> NcPoly:
     mapping: dict[int, int] = {}
     for word in sorted(poly.terms):
@@ -379,12 +394,17 @@ def multilinearize(poly: NcPoly) -> list[NcPoly]:
     In characteristic zero each output vanishes wherever the input does,
     and the input is recoverable from the outputs by identifying variables,
     so the set captures the same identities.  Degrees never grow.
+
+    Refused with BudgetExceeded before anything is polarized when the
+    words it forms, per component its term count times d! for each
+    variable of degree d, exceed DEFAULT_BUDGET.
     """
     if poly.is_zero():
         raise ValueError("cannot multilinearize the zero polynomial")
     components: dict[tuple[tuple[int, int], ...], dict[Word, Fraction]] = {}
     for word, coeff in poly.terms.items():
         components.setdefault(_multidegree(word), {})[word] = coeff
+    charge(_words_formed(components), what="multilinearizing forms {} words")
     results = []
     for degree_profile, terms in sorted(components.items()):
         component = NcPoly()

@@ -37,8 +37,9 @@ from itertools import combinations, combinations_with_replacement, count, groupb
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebras import DEFAULT_BUDGET, BudgetExceeded, StructureAlgebra, _word_evaluator
+from .algebras import StructureAlgebra, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
+from .linalg import DEFAULT_BUDGET, BudgetExceeded, charge
 from .linalg import RowBasis, _integral, accumulate, parse_number
 from .operad import OperadElement, format_element, from_vector, to_vector
 from .perms import (
@@ -224,18 +225,10 @@ def _saturate_under_action(
 
 def _slice_width(n: int) -> int:
     """n!, the width of an arity-n slice, refused with BudgetExceeded when
-    it exceeds DEFAULT_BUDGET (n >= 11).  The product stops at the first
-    partial product over the budget, so a huge n is refused without
-    forming n!, and `needed` is that partial product."""
-    width = 1
-    for k in range(2, n + 1):
-        width *= k
-        if width > DEFAULT_BUDGET:
-            raise BudgetExceeded(
-                width, DEFAULT_BUDGET,
-                f"a slice of arity {n} spans {n}! coordinates, more than the budget of {DEFAULT_BUDGET}",
-            )
-    return width
+    it exceeds DEFAULT_BUDGET (n >= 11), with `needed` 11!: a huge n! is
+    never formed."""
+    what = f"a slice of arity {n} spans {n}! coordinates"
+    return charge(map(math.factorial, range(n + 1)), what=what)
 
 
 def _reaching(gens: GeneratorSet, n: int) -> list[OperadElement]:
@@ -251,10 +244,8 @@ def _contractions(theta: OperadElement, arities: Sequence[int]) -> Iterator[tupl
     `arities`: every term keeps the same j letters, renumbered in order.
     Refused before any is formed if sum comb(k, j) * terms > DEFAULT_BUDGET."""
     k = theta.arity
-    needed = sum(math.comb(k, j) for j in arities) * len(theta.terms)
-    if needed > DEFAULT_BUDGET:
-        message = f"contracting arity {k} to arity {arities[0]} forms {needed} terms, more than"
-        raise BudgetExceeded(needed, DEFAULT_BUDGET, f"{message} the budget of {DEFAULT_BUDGET}")
+    what = f"contracting arity {k} to arity {arities[0]} forms {{}} terms"
+    charge([sum(math.comb(k, j) for j in arities) * len(theta.terms)], what=what)
     terms = _integral({p.seq: c for p, c in theta.terms.items()}).items()
     for j in arities:
         for kept in combinations(range(1, k + 1), j):
@@ -395,15 +386,8 @@ def _closure_bases(gens: GeneratorSet, n: int) -> dict[int, RowBasis]:
     if not reaching:
         return {}
     lo, hi = lowest_arity(gens.mode), max(n, *(theta.arity for theta in reaching))
-    width = 0
-    for m in range(lo, hi + 1):
-        width += math.factorial(m)
-        if width > DEFAULT_BUDGET:
-            raise BudgetExceeded(
-                width, DEFAULT_BUDGET,
-                f"the closure window spans {lo}! + ... + {hi}! coordinates, "
-                f"more than the budget of {DEFAULT_BUDGET}",
-            )
+    widths = (sum(map(math.factorial, range(lo, m + 1))) for m in range(lo, hi + 1))
+    charge(widths, what=f"the closure window spans {lo}! + ... + {hi}! coordinates")
     bases = {m: RowBasis(math.factorial(m)) for m in range(lo, hi + 1)}
 
     def open_at(m: int) -> bool:
@@ -537,8 +521,7 @@ def _closed_evaluation_rows(
     else:
         needed = math.comb(dim + n - 1, n)
         tuples = combinations_with_replacement(range(dim), n)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    charge([needed], budget)
     rows, seeds = _evaluation_rows(algebra, n, tuples)
     _saturate_under_action(rows, seeds)
     return rows
@@ -676,6 +659,7 @@ def verify_ideal_closure(
     is inside the checked window), and unital contractions land one arity
     down.  A missing arity between 1 and max_arity is a contract violation,
     and so is a mode other than the two; a missing arity-0 slice is zero.
+    A slice with rows is refused when its m! translates exceed the budget.
     """
     for m in range(1, _nonnegative(max_arity) + 1):
         if m not in slices:
@@ -685,9 +669,12 @@ def verify_ideal_closure(
     down = lowest_arity(mode) == 0
     checked = 0
     for m in sorted(k for k in slices if k <= max_arity):
-        translations = list(permutations(range(1, m + 1))) if m >= 2 else ()
-        for row in slices[m].basis.row_dicts():
+        rows = slices[m].basis.row_dicts()
+        if rows:
+            _slice_width(m)  # each row's m! translates are checked
+        for row in rows:
             row = {unrank(i, m): c for i, c in row.items()}
+            translations = permutations(range(1, m + 1)) if m >= 2 else ()
             for image, target, move, slot in _closure_moves(row, m, translations, m < max_arity, down):
                 checked += 1
                 if not slice_at[target].basis.contains({rank(seq): c for seq, c in image.items()}):

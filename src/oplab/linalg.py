@@ -8,6 +8,9 @@ bases are structurally equal exactly when they span the same subspace.
 Elimination runs fraction-free on Python ints; ``Fraction`` appears only
 where vectors enter (denominators cleared once per vector) and where RREF
 rows leave (:meth:`RowBasis.rows`).
+
+The work budget lives here too, below every other module: `charge` is
+the one place a count of what would be built or walked is refused.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
+    "BudgetExceeded",
+    "DEFAULT_BUDGET",
     "DimensionMismatch",
     "RowBasis",
     "SparseVector",
     "accumulate",
     "as_fraction",
+    "charge",
     "format_rational",
     "format_sum",
     "kernel_basis",
@@ -36,6 +42,43 @@ ONE = Fraction(1)
 
 class DimensionMismatch(ValueError):
     """Raised when vectors of incompatible dimensions are combined."""
+
+
+# The default cap on exhaustive work: the tuples an identity computation
+# enumerates, and dim^3, the bound on the associativity checks of an
+# algebra built from a spec.
+DEFAULT_BUDGET = 10**7
+
+
+class BudgetExceeded(RuntimeError):
+    """The requested exhaustive enumeration is larger than the budget.
+
+    `message` replaces the default text, which counts tuple evaluations;
+    `needed` may be a lower bound of the count (see `charge`)."""
+
+    def __init__(self, needed: int, budget: int, message: str | None = None) -> None:
+        super().__init__(
+            message or f"enumeration needs {needed} tuple evaluations, budget is {budget}"
+        )
+        self.needed = needed
+        self.budget = budget
+
+
+def charge(totals: Iterable[int], budget: int = DEFAULT_BUDGET, what: str | None = None) -> int:
+    """The last of `totals`, running counts that never decrease, or 0 if
+    there are none.  Raises BudgetExceeded at the first total over the
+    budget, without pulling the next, so a count that grows without bound
+    is refused once it passes the budget and never formed in full; that
+    total is `needed`.  The message is "{what}, more than the budget of
+    {budget}", the total filling any "{}" in `what`; the default message
+    counts tuple evaluations."""
+    total = 0
+    for total in totals:
+        if total > budget:
+            if what is not None:
+                what = f"{what.format(total)}, more than the budget of {budget}"
+            raise BudgetExceeded(total, budget, what)
+    return total
 
 
 def as_fraction(value: Fraction | int | str) -> Fraction:

@@ -353,6 +353,36 @@ def test_ideal_dim_refuses_huge_arities_without_forming_n_factorial(capsys):
         assert payload["error"]["type"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("max_arity", ["10", "11"])
+def test_closure_verify_of_zero_slices_builds_no_translates(capsys, max_arity):
+    # nonunital, an arity-40 generator reaches nothing up to 11: no row
+    # is checked, and none of the 11! translates is formed
+    unit = "1*(" + ",".join(map(str, range(1, 41))) + ")"
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "closure-verify", "--mode", "nonunital", "--gens", unit,
+        "--max-arity", max_arity,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["result"] == {"checked": 0, "closed": True, "failure": None}
+
+
+@pytest.mark.parametrize("command", ["multilinearize", "check-identity"])
+@pytest.mark.parametrize("power", ["x1^11", "x1^12"])
+def test_polarizing_a_high_power_is_refused(capsys, command, power):
+    # x1^11 polarizes into 11! = 39,916,800 words, over the budget
+    algebra = ("--algebra", '{"type":"matrix","k":2}') if command == "check-identity" else ()
+    start = time.perf_counter()
+    code, payload = run_json(capsys, command, "--poly", power, *algebra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"] == {
+        "type": "BudgetExceeded",
+        "message": "multilinearizing forms 39916800 words, more than the budget of 10000000",
+    }
+
+
 def test_ideal_dim_refuses_contractions_over_the_budget(capsys):
     # the unit of arity 60 contracts to arity 10 in comb(60, 10) ways, and
     # to arity 9 in comb(60, 9): refused before one is formed
