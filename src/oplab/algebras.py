@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .freealg import NcPoly, format_poly, multilinearize, operad_to_poly, poly_to_operad
+from .freealg import NcPoly, format_poly, multilinearize, operad_to_poly
 from .linalg import DEFAULT_BUDGET, BudgetExceeded, charge
 from .linalg import RowBasis, SparseVector, as_fraction, format_rational
 from .operad import OperadElement
@@ -555,17 +555,19 @@ def is_identity(poly: NcPoly, algebra: StructureAlgebra) -> bool:
 
     By multilinearity it suffices to evaluate on every tuple of basis
     elements, so the test enumerates all dim^n tuples and stops at the
-    first nonzero value.  Refuses with BudgetExceeded, before any tuple
+    first nonzero value; a nonzero constant, a multiple of the unit, is
+    never an identity.  Refuses with BudgetExceeded, before any tuple
     is evaluated, when dim^n exceeds DEFAULT_BUDGET; past n = 24, the
     budget's bit length, it charges dim^24, already over it for dim >= 2.
     """
-    theta = poly_to_operad(poly)
-    n = theta.arity
+    n = poly.multilinear_arity()
+    if n is None:
+        raise ValueError(f"not a multilinear polynomial: {format_poly(poly)}")
     if n == 0:
-        return evaluate_nullary(theta, algebra).is_zero()
+        return False
     charge([algebra.dim ** min(n, DEFAULT_BUDGET.bit_length())])
-    coeffs = list(theta.terms.values())
-    products = _word_evaluator(algebra.columns, [perm.seq for perm in theta.terms])
+    coeffs = list(poly.terms.values())
+    products = _word_evaluator(algebra.columns, list(poly.terms))
     for tup in product(range(algebra.dim), repeat=n):
         found = products(tup)
         if _combine({w: coeffs[w] for w in found}, found):
@@ -577,36 +579,31 @@ class IdentityCheckInconsistency(RuntimeError):
     """The multilinear reduction and direct random evaluation disagreed."""
 
 
-def is_identity_general(
-    poly: NcPoly,
-    algebra: StructureAlgebra,
-    *,
-    trials: int = 8,
-    seed: int = 0,
-) -> bool:
+def is_identity_general(poly: NcPoly, algebra: StructureAlgebra) -> bool:
     """Identity test for arbitrary polynomials via full linearization.
 
     In characteristic zero the polynomial is an identity exactly when all
-    its multilinearizations are; the result is cross-checked by direct
-    evaluation on random elements.
+    its multilinearizations are.  A True verdict is cross-checked by direct
+    evaluation on 8 random elements (seeded, so reproducible); a False one
+    is returned at the first part that is not an identity, as no
+    substitution could refute it.
     """
     if poly.is_zero():
         raise ValueError("the zero polynomial is excluded")
-    parts = multilinearize(poly)
-    verdict = all(is_identity(part, algebra) for part in parts)
-    rng = random.Random(seed)
+    if not all(is_identity(part, algebra) for part in multilinearize(poly)):
+        return False
+    rng = random.Random(0)
     variables = sorted(poly.variables())
-    for _ in range(trials):
+    for _ in range(8):
         assignment = {
             v: algebra.element(
                 [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(algebra.dim)]
             )
             for v in variables
         }
-        value = evaluate_poly(poly, assignment, algebra)
-        if verdict and not value.is_zero():
+        if not evaluate_poly(poly, assignment, algebra).is_zero():
             raise IdentityCheckInconsistency(
                 f"{format_poly(poly)} passed the multilinear test but a random "
                 "substitution is nonzero"
             )
-    return verdict
+    return True

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .linalg import _Combination, accumulate, charge, format_sum
 from .operad import OperadElement
-from .perms import ArityMismatch, Permutation
+from .perms import ArityMismatch, Permutation, _trusted
 
 __all__ = [
     "NcPoly",
@@ -41,7 +41,7 @@ Word = tuple[int, ...]
 
 # Bounds on the powers and products that the parser expands (see parse_poly).
 MAX_EXPONENT = 64
-MAX_POWER_SIZE = 10**6
+MAX_PRODUCT_SIZE = 10**6
 
 
 class PolyParseError(ValueError):
@@ -115,14 +115,6 @@ class NcPoly(_Combination):
             for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items()
         ))
-
-    def pow(self, exponent: int) -> "NcPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = NcPoly.one()
-        for _ in range(exponent):
-            result = result.mul(self)
-        return result
 
     __mul__ = mul
 
@@ -203,37 +195,38 @@ class _Parser:
                 return result
 
     def term(self) -> NcPoly:
-        # The expansion is bounded before anything is multiplied, by the
-        # measure of _power_size: the factors' term counts multiply, and
-        # their degrees and coefficient bits add.
-        factors = [self.factor()]
-        terms, weight = len(factors[0].terms), _weight(factors[0])
-        while self.peek() == "*":
-            star = self.pos
-            self.pos += 1
-            factor = self.factor()
-            terms *= len(factor.terms)
-            weight += _weight(factor)
-            if terms * weight > MAX_POWER_SIZE:
-                self.pos = star
+        # A power a^e is e equal factors (a^0 the factor 1).  The expansion
+        # is bounded before anything is multiplied: the factors' term counts
+        # multiply, a zero factor counting one, and their weights add.
+        factors: list[NcPoly] = []
+        terms, weight = 1, 0
+        at = None  # the '*' or exponent that makes the term a product
+        while True:
+            base, exponent = self.atom(), 1
+            if self.peek() == "^":
+                self.pos += 1
+                at = self.pos
+                exponent = self.natural()
+                if exponent > MAX_EXPONENT:
+                    self.pos = at
+                    raise self.error("power too large to expand")
+                if exponent == 0:
+                    base, exponent = NcPoly.one(), 1
+            terms *= max(len(base.terms), 1) ** exponent
+            weight += exponent * _weight(base)
+            if at is not None and terms * weight > MAX_PRODUCT_SIZE:
+                self.pos = at
                 raise self.error("product too large to expand")
-            factors.append(factor)
-        result = factors[0]
-        for factor in factors[1:]:
-            result = result.mul(factor)
-        return result
-
-    def factor(self) -> NcPoly:
-        base = self.atom()
-        if self.peek() == "^":
+            factors += [base] * exponent
+            if self.peek() != "*":
+                break
+            at = self.pos
             self.pos += 1
-            start = self.pos
-            exponent = self.natural()
-            if exponent > MAX_EXPONENT or _power_size(base, exponent) > MAX_POWER_SIZE:
-                self.pos = start
-                raise self.error("power too large to expand")
-            return base.pow(exponent)
-        return base
+        # multiplied pairwise, so each letter is copied once per level
+        while len(factors) > 1:
+            pairs = [a.mul(b) for a, b in zip(factors[::2], factors[1::2])]
+            factors = pairs + factors[len(pairs) * 2 :]
+        return factors[0]
 
     def atom(self) -> NcPoly:
         char = self.peek()
@@ -266,7 +259,9 @@ class _Parser:
 
 def _weight(poly: NcPoly) -> int:
     """d + b + 1, where d is the degree and b bounds the bit size of the
-    coefficients: a factor's share of the size of a product's expansion."""
+    coefficients: a factor's share of the size of a product's expansion,
+    which for t_i terms and weights w_i takes at most prod(t_i) * sum(w_i)
+    letters and coefficient bits."""
     bits = max(
         (c.numerator.bit_length() + c.denominator.bit_length() for c in poly.terms.values()),
         default=0,
@@ -274,19 +269,12 @@ def _weight(poly: NcPoly) -> int:
     return poly.degree() + bits + 1
 
 
-def _power_size(base: NcPoly, exponent: int) -> int:
-    """An upper bound on the letters and coefficient bits that base^exponent
-    takes to expand: terms^e words of degree d*e, coefficients of at most
-    e*b bits each (see _weight)."""
-    return len(base.terms) ** exponent * exponent * _weight(base)
-
-
 def parse_poly(text: str) -> NcPoly:
     """Parse polynomial text; raises PolyParseError with the failure offset.
 
-    A power is expanded only if it has exponent at most MAX_EXPONENT and
-    an expansion of at most MAX_POWER_SIZE letters and coefficient bits; a
-    product of factors, only if its expansion is within the same bound.
+    A power's exponent is at most MAX_EXPONENT, and a term, its powers
+    counted as products of equal factors, is expanded only if its
+    expansion takes at most MAX_PRODUCT_SIZE letters and coefficient bits.
     """
     parser = _Parser(text)
     try:
@@ -311,7 +299,8 @@ def poly_to_operad(poly: NcPoly) -> OperadElement:
             f"not a multilinear polynomial: {format_poly(poly)}"
         )
     result = OperadElement(arity)
-    result.terms = {Permutation(word): coeff for word, coeff in poly.terms.items()}
+    # multilinear_arity has checked every word
+    result.terms = {_trusted(word): coeff for word, coeff in poly.terms.items()}
     return result
 
 
@@ -359,13 +348,16 @@ def _polarize(poly: NcPoly, variable: int, fresh_start: int) -> tuple[NcPoly, in
     return result, fresh_start + degree
 
 
-def _words_formed(components: Mapping[tuple[tuple[int, int], ...], dict]) -> Iterator[int]:
-    """Running count of the words that polarizing the components forms,
-    multiplied out one factor of each d! at a time, so that a refusal
-    stops at a total within a factor of d of the budget."""
+def _formed(
+    components: Mapping[tuple[tuple[int, int], ...], dict], letters: bool = False
+) -> Iterator[int]:
+    """Running count of the words (with `letters`, of their letters) that
+    polarizing the components forms, multiplied out one factor of each d!
+    at a time, so that a refusal stops at a total within a factor of d of
+    the budget."""
     done = 0
     for profile, terms in components.items():
-        count = len(terms)
+        count = len(terms) * (sum(d for _, d in profile) if letters else 1)
         for _, degree in profile:
             for factor in range(2, degree + 1):
                 count *= factor
@@ -397,14 +389,16 @@ def multilinearize(poly: NcPoly) -> list[NcPoly]:
 
     Refused with BudgetExceeded before anything is polarized when the
     words it forms, per component its term count times d! for each
-    variable of degree d, exceed DEFAULT_BUDGET.
+    variable of degree d, exceed DEFAULT_BUDGET; then when their letters,
+    per component its words times its degree, do.
     """
     if poly.is_zero():
         raise ValueError("cannot multilinearize the zero polynomial")
     components: dict[tuple[tuple[int, int], ...], dict[Word, Fraction]] = {}
     for word, coeff in poly.terms.items():
         components.setdefault(_multidegree(word), {})[word] = coeff
-    charge(_words_formed(components), what="multilinearizing forms {} words")
+    charge(_formed(components), what="multilinearizing forms {} words")
+    charge(_formed(components, letters=True), what="multilinearizing forms {} letters")
     results = []
     for degree_profile, terms in sorted(components.items()):
         component = NcPoly()

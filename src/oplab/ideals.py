@@ -622,16 +622,9 @@ def membership(
     return ideal_slice_spanning(gens, theta.arity, cache_dir=cache_dir).contains(theta)
 
 
-def poly_generated_slice(
-    polys: Sequence[NcPoly],
-    n: int,
-    mode: str = UNITAL,
-    *,
-    cache_dir: str | Path | None = None,
-) -> IdealSlice:
+def poly_generated_slice(polys: Sequence[NcPoly], n: int, mode: str = UNITAL) -> IdealSlice:
     """Slice of the ideal generated by multilinear polynomial generators."""
-    gens = GeneratorSet([poly_to_operad(f) for f in polys], mode)
-    return ideal_slice_spanning(gens, n, cache_dir=cache_dir)
+    return ideal_slice_spanning(GeneratorSet([poly_to_operad(f) for f in polys], mode), n)
 
 
 def slice_polynomials(slice_: IdealSlice) -> list[NcPoly]:

@@ -112,6 +112,17 @@ def poly_substitute(poly: NcPoly, assignment: dict[int, NcPoly]) -> NcPoly:
     return result
 
 
+def word_product_reference(factors: list[dict[tuple, Fraction]]) -> dict[tuple, Fraction]:
+    """The product of polynomials given as word -> coefficient dicts: every
+    choice of one term from each factor adds the concatenation of the
+    chosen words, weighted by the product of their coefficients."""
+    total: dict[tuple, Fraction] = {}
+    for choice in product(*(factor.items() for factor in factors)):
+        word = tuple(letter for w, _ in choice for letter in w)
+        total[word] = total.get(word, 0) + math.prod((c for _, c in choice), start=Fraction(1))
+    return {word: coeff for word, coeff in total.items() if coeff}
+
+
 def substitute_slot(poly: NcPoly, slot: int, inner: NcPoly, inner_arity: int) -> NcPoly:
     """Substitute a multilinear polynomial into one letter slot of another.
 

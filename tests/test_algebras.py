@@ -653,6 +653,11 @@ def test_is_identity_examples():
     assert not is_identity(st3, m2)
     st4 = operad_to_poly(standard_polynomial(4))
     assert is_identity(st4, m2)
+    # a nonzero constant is a multiple of the unit, never zero
+    assert is_identity(parse_poly("3/2"), m2) is False
+    with pytest.raises(ValueError) as err:
+        is_identity(parse_poly("x1*x1"), m2)
+    assert str(err.value) == "not a multilinear polynomial: 1*x1*x1"
 
 
 def test_is_identity_charges_the_tuples_to_the_budget():
@@ -697,6 +702,25 @@ def test_is_identity_general_examples():
     g = parse_poly("x1^2*x2 - x2*x1^2")
     ones = {v: m1.unit_element() for v in g.variables()}
     assert evaluate_poly(g, ones, m1).is_zero() == is_identity_general(g, m1)
+
+
+def test_is_identity_general_cross_checks_only_an_identity(monkeypatch):
+    evaluated = []
+    evaluate_poly = algebras.evaluate_poly
+    monkeypatch.setattr(
+        algebras, "evaluate_poly", lambda *args: evaluated.append(1) or evaluate_poly(*args)
+    )
+    m2 = matrix_algebra(2)
+    # no substitution can refute a False verdict, so none is made
+    assert not is_identity_general(parse_poly("x1^2*x2 - x2*x1^2"), m2)
+    assert evaluated == []
+    # a True one is checked on 8 random substitutions
+    assert is_identity_general(operad_to_poly(standard_polynomial(4)), m2)
+    assert len(evaluated) == 8
+    # and a multilinear test that wrongly passes is caught
+    monkeypatch.setattr(algebras, "is_identity", lambda poly, algebra: True)
+    with pytest.raises(algebras.IdentityCheckInconsistency):
+        is_identity_general(parse_poly("x1*x2 - x2*x1"), m2)
 
 
 def test_evaluate_poly_unit_word():

@@ -83,6 +83,7 @@ REFUSALS = {
     "closure-verify": lambda: (verify_ideal_closure, family_with_a_row_at(11), 11),
     "multilinearize": lambda: (multilinearize, parse_poly("x1^11")),
     "multilinearize x1^4096": lambda: (multilinearize, parse_poly("(x1^64)^64")),
+    "multilinearize letters": lambda: (multilinearize, parse_poly("x1^10")),
     "check-identity of a power": lambda: (
         is_identity_general, parse_poly("x1^12"), matrix_algebra(2)
     ),
@@ -120,3 +121,16 @@ def test_multilinearize_charges_the_words_it_forms():
         )
     # 2 * 3! * 4! = 288 words across two components fit
     assert len(multilinearize(parse_poly("x1^3*x2^4 + x2^4*x1^3 + x1"))) == 2
+
+
+def test_multilinearize_charges_the_letters_it_forms():
+    # x1^10 forms 10! = 3,628,800 words, within the budget, of 10 letters
+    # each; the words are charged first (x1^11 and x1^12 above)
+    with pytest.raises(BudgetExceeded) as refused:
+        multilinearize(parse_poly("x1^10"))
+    assert refused.value.needed == 10 * math.factorial(10)
+    assert str(refused.value) == (
+        "multilinearizing forms 36288000 letters, more than the budget of 10000000"
+    )
+    # 2 * 5! * 4! = 5,760 words of 9 letters fit
+    assert len(multilinearize(parse_poly("x1^5*x2^4 + x2^4*x1^5"))[0].terms) == 5760

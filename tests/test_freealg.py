@@ -35,6 +35,7 @@ from oracles import (
     poly_substitute,
     substitute_all_slots,
     substitute_slot,
+    word_product_reference,
 )
 
 
@@ -310,6 +311,42 @@ def test_product_of_sums_too_large_to_expand_is_refused():
     assert text[err.value.position] == "*"
     # a product within the bound still expands
     assert len(parse_poly("*".join(["(x1+x2)"] * 10)).terms) == 1024
+
+
+small_polys = st.dictionaries(
+    words,
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4),
+    max_size=2,
+).map(NcPoly)
+
+
+@given(
+    st.lists(st.tuples(small_polys, st.integers(min_value=0, max_value=4)), min_size=1, max_size=3)
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_products_and_powers_parse_to_the_word_product(factors):
+    # a power is a product of equal factors, a^0 the empty product; at
+    # most 2^12 choices of one term per factor
+    text = "*".join(f"({format_poly(f)})^{e}" for f, e in factors)
+    expanded = [f.terms for f, e in factors for _ in range(e)]
+    assert parse_poly(text) == NcPoly(word_product_reference(expanded))
+
+
+def test_a_long_monomial_copies_each_letter_once_per_level(monkeypatch):
+    # x1*...*x4096 multiplied pairwise forms 12 levels of 4,096 letters; a
+    # left fold forms 2 + 3 + ... + 4096, about 8.4 million
+    formed = []
+    mul = NcPoly.mul
+
+    def counting_mul(self, other):
+        result = mul(self, other)
+        formed.append(sum(map(len, result.terms)))
+        return result
+
+    monkeypatch.setattr(NcPoly, "mul", counting_mul)
+    poly = parse_poly("*".join(f"x{i}" for i in range(1, 4097)))
+    assert poly.terms == {tuple(range(1, 4097)): 1}
+    assert sum(formed) < 4096 * 13
 
 
 def test_readme_polynomials_parse():

@@ -8,6 +8,7 @@ import pytest
 
 from oplab import (
     ArityMismatch,
+    NcPoly,
     Permutation,
     SparseVector,
     all_permutations,
@@ -18,6 +19,7 @@ from oplab import (
     multiply,
     parse_permutation,
     perm_index,
+    poly_to_operad,
 )
 from oplab.perms import (
     arrangement_classes,
@@ -59,9 +61,11 @@ def test_permutation_value_semantics():
 
 
 def test_unchecked_permutations_behave_like_checked_ones():
-    # all_permutations and from_vector build their permutations unchecked
+    # all_permutations, from_vector and poly_to_operad build their
+    # permutations unchecked
     every = from_vector(3, SparseVector(6, {i: 1 for i in range(6)}))
-    for q in all_permutations(3) + tuple(every.terms):
+    words = poly_to_operad(NcPoly({p.seq: 1 for p in all_permutations(3)}))
+    for q in all_permutations(3) + tuple(every.terms) + tuple(words.terms):
         checked = Permutation(q.seq)
         assert q == checked and hash(q) == hash(checked) and repr(q) == repr(checked)
         with pytest.raises(AttributeError):
