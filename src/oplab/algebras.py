@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .freealg import NcPoly, format_poly, multilinearize, operad_to_poly
 from .linalg import DEFAULT_BUDGET, BudgetExceeded, charge
-from .linalg import RowBasis, SparseVector, as_fraction, format_rational
+from .linalg import RowBasis, SparseVector, _integral, as_fraction, format_rational
 from .operad import OperadElement
 
 __all__ = [
@@ -566,7 +566,9 @@ def is_identity(poly: NcPoly, algebra: StructureAlgebra) -> bool:
     if n == 0:
         return False
     charge([algebra.dim ** min(n, DEFAULT_BUDGET.bit_length())])
-    coeffs = list(poly.terms.values())
+    # A nonzero multiple has the same zero set, and int sums are cheaper
+    # than Fraction ones.
+    coeffs = list(_integral(poly.terms).values())
     products = _word_evaluator(algebra.columns, list(poly.terms))
     for tup in product(range(algebra.dim), repeat=n):
         found = products(tup)

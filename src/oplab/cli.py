@@ -15,32 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
-from .algebras import algebra_from_spec, is_identity, is_identity_general
-from .freealg import (
-    format_poly,
-    multilinearize,
-    operad_to_poly,
-    parse_poly,
-    poly_to_operad,
-)
-from .ideals import (
-    CACHE_SUFFIX,
-    DEFAULT_BUDGET,
-    GeneratorSet,
-    codimension,
-    full_slice_map,
-    ideal_slice_closure,
-    ideal_slice_spanning,
-    identities_slice,
-    lowest_arity,
-    membership,
-    min_identity_degree,
-    roundtrip_check,
-    slices_equal,
-    verify_ideal_closure,
-)
-from .operad import format_element, full_compose, parse_element, partial_compose
+from . import __version__, algebras, freealg, ideals, linalg, operad
 
 
 def _load_text(value: str) -> str:
@@ -50,29 +25,29 @@ def _load_text(value: str) -> str:
 
 
 def _load_algebra(value: str):
-    return algebra_from_spec(json.loads(_load_text(value)))
+    return algebras.algebra_from_spec(json.loads(_load_text(value)))
 
 
 def _split_items(text: str) -> list[str]:
     return [chunk.strip() for chunk in text.split(";") if chunk.strip()]
 
 
-def _generator_set(args, which: str = "") -> GeneratorSet:
+def _generator_set(args, which: str = "") -> ideals.GeneratorSet:
     gens_arg = getattr(args, f"gens{which}", None)
     polys_arg = getattr(args, f"polys{which}", None)
     elements = []
     if gens_arg is not None:
         elements.extend(
-            parse_element(chunk) for chunk in _split_items(_load_text(gens_arg))
+            operad.parse_element(chunk) for chunk in _split_items(_load_text(gens_arg))
         )
     if polys_arg is not None:
         elements.extend(
-            poly_to_operad(parse_poly(chunk))
+            freealg.poly_to_operad(freealg.parse_poly(chunk))
             for chunk in _split_items(_load_text(polys_arg))
         )
     if not elements:
         raise ValueError("no generators given (use --gens or --polys)")
-    return GeneratorSet(elements, args.mode)
+    return ideals.GeneratorSet(elements, args.mode)
 
 
 def _cache_dir(args) -> str | None:
@@ -83,19 +58,19 @@ def _cmd_check_identity(args, diag) -> dict:
     algebra = _load_algebra(args.algebra)
     polys = []
     if args.poly is not None:
-        polys.extend(parse_poly(c) for c in _split_items(_load_text(args.poly)))
+        polys.extend(freealg.parse_poly(c) for c in _split_items(_load_text(args.poly)))
     if args.poly_file is not None:
         polys.extend(
-            parse_poly(c) for c in _split_items(Path(args.poly_file).read_text())
+            freealg.parse_poly(c) for c in _split_items(Path(args.poly_file).read_text())
         )
     if not polys:
         raise ValueError("no polynomial given (use --poly or --poly-file)")
     verdicts = []
     for poly in polys:
         if poly.multilinear_arity() is not None:
-            verdicts.append(is_identity(poly, algebra))
+            verdicts.append(algebras.is_identity(poly, algebra))
         else:
-            verdicts.append(is_identity_general(poly, algebra))
+            verdicts.append(algebras.is_identity_general(poly, algebra))
     if len(verdicts) == 1:
         return {"identity": verdicts[0]}
     return {"identities": verdicts}
@@ -103,40 +78,40 @@ def _cmd_check_identity(args, diag) -> dict:
 
 def _cmd_min_degree(args, diag) -> dict:
     algebra = _load_algebra(args.algebra)
-    degree = min_identity_degree(algebra, args.max, budget=args.budget)
+    degree = ideals.min_identity_degree(algebra, args.max, budget=args.budget)
     return {"min_degree": degree}
 
 
 def _cmd_codim(args, diag) -> dict:
     algebra = _load_algebra(args.algebra)
-    return {"codim": codimension(algebra, args.n, budget=args.budget)}
+    return {"codim": ideals.codimension(algebra, args.n, budget=args.budget)}
 
 
 def _cmd_ideal_dim(args, diag) -> dict:
     gens = _generator_set(args)
     if args.algorithm == "closure":
-        slice_ = ideal_slice_closure(gens, args.n)
+        slice_ = ideals.ideal_slice_closure(gens, args.n)
     else:
         diag["cache_hit"] = False  # a slice that no generator reaches skips the cache
-        slice_ = ideal_slice_spanning(gens, args.n, cache_dir=_cache_dir(args), stats=diag)
+        slice_ = ideals.ideal_slice_spanning(gens, args.n, cache_dir=_cache_dir(args), stats=diag)
     return {"arity": args.n, "dim": slice_.dim, "ambient_dim": slice_.basis.dimension}
 
 
 def _cmd_membership(args, diag) -> dict:
     gens = _generator_set(args)
-    theta = parse_element(args.element)
-    return {"member": membership(theta, gens, cache_dir=_cache_dir(args))}
+    theta = operad.parse_element(args.element)
+    return {"member": ideals.membership(theta, gens, cache_dir=_cache_dir(args))}
 
 
 def _cmd_slices_equal(args, diag) -> dict:
     first = _generator_set(args, "1")
     second = _generator_set(args, "2")
-    return {"equal": slices_equal(first, second, args.max_arity)}
+    return {"equal": ideals.slices_equal(first, second, args.max_arity)}
 
 
 def _cmd_roundtrip(args, diag) -> dict:
     gens = _generator_set(args)
-    report = roundtrip_check(gens, args.max_arity)
+    report = ideals.roundtrip_check(gens, args.max_arity)
     return {
         "ok": report.ok,
         "arities": {str(n): ok for n, ok in sorted(report.per_arity.items())},
@@ -147,13 +122,13 @@ def _cmd_closure_verify(args, diag) -> dict:
     if args.algebra is not None:
         algebra = _load_algebra(args.algebra)
         slices = {
-            n: identities_slice(algebra, n, budget=args.budget)
+            n: ideals.identities_slice(algebra, n, budget=args.budget)
             for n in range(1, args.max_arity + 1)
         }
     else:
         gens = _generator_set(args)
-        slices = full_slice_map(gens, args.max_arity)
-    report = verify_ideal_closure(slices, args.max_arity, args.mode)
+        slices = ideals.full_slice_map(gens, args.max_arity)
+    report = ideals.verify_ideal_closure(slices, args.max_arity, args.mode)
     return {"closed": report.ok, "checked": report.checked, "failure": report.failure}
 
 
@@ -161,34 +136,34 @@ def _cmd_phi(args, diag) -> dict:
     if (args.element is None) == (args.poly is None):
         raise ValueError("give exactly one of --element or --poly")
     if args.element is not None:
-        theta = parse_element(args.element)
-        return {"poly": format_poly(operad_to_poly(theta))}
-    poly = parse_poly(args.poly)
-    return {"element": format_element(poly_to_operad(poly))}
+        theta = operad.parse_element(args.element)
+        return {"poly": freealg.format_poly(freealg.operad_to_poly(theta))}
+    poly = freealg.parse_poly(args.poly)
+    return {"element": operad.format_element(freealg.poly_to_operad(poly))}
 
 
 def _cmd_multilinearize(args, diag) -> dict:
-    poly = parse_poly(_load_text(args.poly))
-    return {"polys": [format_poly(p) for p in multilinearize(poly)]}
+    poly = freealg.parse_poly(_load_text(args.poly))
+    return {"polys": [freealg.format_poly(p) for p in freealg.multilinearize(poly)]}
 
 
 def _cmd_compose(args, diag) -> dict:
-    outer = parse_element(args.outer)
+    outer = operad.parse_element(args.outer)
     if (args.parts is None) == (args.inner is None):
         raise ValueError("give either --slot/--inner or --parts")
     if args.inner is not None:
         if args.slot is None:
             raise ValueError("--inner needs --slot")
-        pieces = [parse_element(args.inner)]
+        pieces = [operad.parse_element(args.inner)]
     else:
-        pieces = [parse_element(chunk) for chunk in _split_items(args.parts)]
-    if any(p.arity < lowest_arity(args.mode) for p in pieces):
+        pieces = [operad.parse_element(chunk) for chunk in _split_items(args.parts)]
+    if any(p.arity < operad.lowest_arity(args.mode) for p in pieces):
         raise ValueError("arity-0 arguments are not available in nonunital mode")
     if args.inner is not None:
-        result = partial_compose(outer, args.slot, pieces[0])
+        result = operad.partial_compose(outer, args.slot, pieces[0])
     else:
-        result = full_compose(outer, pieces)
-    return {"element": format_element(result), "arity": result.arity}
+        result = operad.full_compose(outer, pieces)
+    return {"element": operad.format_element(result), "arity": result.arity}
 
 
 def _cmd_cache(args, diag) -> dict:
@@ -196,7 +171,7 @@ def _cmd_cache(args, diag) -> dict:
     if directory is None:
         raise ValueError("no cache directory (use --cache-dir or OPLAB_CACHE_DIR)")
     root = Path(directory)
-    entries = sorted(root.glob(f"*{CACHE_SUFFIX}")) if root.exists() else []
+    entries = sorted(root.glob(f"*{ideals.CACHE_SUFFIX}")) if root.exists() else []
     if args.action == "list":
         listed = []
         for path in entries:
@@ -210,7 +185,7 @@ def _cmd_cache(args, diag) -> dict:
             listed.append({"file": path.name, "header": header})
         return {"entries": listed}
     # Temp files of writers that died before their atomic rename.
-    orphans = sorted(root.glob(f"*{CACHE_SUFFIX}*.tmp")) if root.exists() else []
+    orphans = sorted(root.glob(f"*{ideals.CACHE_SUFFIX}*.tmp")) if root.exists() else []
     for path in entries + orphans:
         path.unlink()
     return {"removed": len(entries) + len(orphans)}
@@ -243,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     gens, budget, cache_dir = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     gens.add_argument("--gens")
     gens.add_argument("--polys")
-    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    budget.add_argument("--budget", type=int, default=linalg.DEFAULT_BUDGET)
     cache_dir.add_argument("--cache-dir", default=None)
 
     parser = argparse.ArgumentParser(

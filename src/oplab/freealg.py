@@ -343,8 +343,10 @@ def _polarize(poly: NcPoly, variable: int, fresh_start: int) -> tuple[NcPoly, in
                     new_word[pos] = fresh_var
                 yield tuple(new_word), coeff
 
+    # Putting `variable` back for the fresh letters recovers the word, so no
+    # two polarized words are equal and none needs summing.
     result = NcPoly()
-    result.terms = accumulate(polarized())
+    result.terms = dict(polarized())
     return result, fresh_start + degree
 
 

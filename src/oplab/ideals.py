@@ -41,7 +41,7 @@ from .algebras import StructureAlgebra, _word_evaluator
 from .freealg import NcPoly, operad_to_poly, poly_to_operad
 from .linalg import DEFAULT_BUDGET, BudgetExceeded, charge
 from .linalg import RowBasis, _integral, accumulate, parse_number
-from .operad import OperadElement, format_element, from_vector, to_vector
+from .operad import UNITAL, OperadElement, format_element, from_vector, lowest_arity, to_vector
 from .perms import (
     arrangement_classes,
     rank,
@@ -57,8 +57,6 @@ __all__ = [
     "GeneratorSet",
     "IdealSlice",
     "RoundtripReport",
-    "UNITAL",
-    "NONUNITAL",
     "codimension",
     "full_slice_map",
     "generator_set_hash",
@@ -77,9 +75,6 @@ __all__ = [
     "verify_ideal_closure",
 ]
 
-UNITAL = "unital"
-NONUNITAL = "nonunital"
-
 CACHE_MAGIC = "OPIDEAL v1"
 CACHE_SUFFIX = ".opideal"
 # The largest arity a slice file may declare: 10! = 3,628,800 columns.
@@ -88,13 +83,6 @@ MAX_SLICE_ARITY = 10
 # row, so it takes at least 2*n!*rank bytes: 51 MB at most for arity 7, but
 # 3.25 GB for the arity-8 slice of [x1,x2].
 MAX_SLICE_FILE_BYTES = 100_000_000
-
-
-def lowest_arity(mode: str) -> int:
-    """The lowest arity of an element: 0 in unital mode (the nullary identity), else 1."""
-    if mode not in (UNITAL, NONUNITAL):
-        raise ValueError(f"mode must be {UNITAL!r} or {NONUNITAL!r}")
-    return 0 if mode == UNITAL else 1
 
 
 class GeneratorSet:

@@ -29,7 +29,9 @@ from .perms import (
 )
 
 __all__ = [
+    "NONUNITAL",
     "OperadElement",
+    "UNITAL",
     "act",
     "format_element",
     "from_vector",
@@ -39,6 +41,16 @@ __all__ = [
     "standard_polynomial",
     "to_vector",
 ]
+
+UNITAL = "unital"
+NONUNITAL = "nonunital"
+
+
+def lowest_arity(mode: str) -> int:
+    """The lowest arity of an element: 0 in unital mode (the nullary identity), else 1."""
+    if mode not in (UNITAL, NONUNITAL):
+        raise ValueError(f"mode must be {UNITAL!r} or {NONUNITAL!r}")
+    return 0 if mode == UNITAL else 1
 
 
 class OperadElement(_Combination):

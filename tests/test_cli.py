@@ -662,3 +662,51 @@ def test_cli_import_leaves_out_dataclasses_and_hashlib():
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+# The probe reads each submodule's __dict__ past the lazy module's
+# __getattribute__, which would load it; exec gives a run module __builtins__.
+_RAN_PROBE = """
+import sys, oplab.cli
+def ran():
+    return [name for name in ("perms", "linalg", "operad", "freealg", "algebras", "ideals")
+            if "__builtins__" in object.__getattribute__(sys.modules["oplab." + name], "__dict__")]
+print(ran())
+if len(sys.argv) > 1:
+    oplab.cli.main(sys.argv[1:])
+    print(ran())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ([], []),
+        (["phi", "--element", "1*(2,1)"], ["perms", "linalg", "operad", "freealg"]),
+        (["phi", "--poly", "x1*x2"], ["perms", "linalg", "operad", "freealg"]),
+        (["multilinearize", "--poly", "x1^2*x2"], ["perms", "linalg", "operad", "freealg"]),
+        (["compose", "--outer", "1*(1,2)", "--slot", "1", "--inner", "1*(2,1)"],
+         ["perms", "linalg", "operad"]),
+        (["compose", "--outer", "1*(1,2)", "--parts", "1*(1);1*()", "--mode", "nonunital"],
+         ["perms", "linalg", "operad"]),
+        (["check-identity", "--poly", "x1*x2-x2*x1", "--algebra", '{"type":"matrix","k":1}'],
+         ["perms", "linalg", "operad", "freealg", "algebras"]),
+        (["check-identity", "--poly", "x1^2", "--algebra", '{"type":"matrix","k":1}'],
+         ["perms", "linalg", "operad", "freealg", "algebras"]),
+        (["ideal-dim", "--polys", "x1*x2-x2*x1", "--n", "3", "--algorithm", "closure"],
+         ["perms", "linalg", "operad", "freealg", "algebras", "ideals"]),
+    ],
+    ids=["import", "phi-element", "phi-poly", "multilinearize", "compose-slot", "compose-parts",
+         "check-identity", "check-identity-general", "ideal-dim"],
+)
+def test_cli_runs_only_the_submodules_its_command_uses(argv, expected):
+    import subprocess
+
+    done = subprocess.run(
+        [sys.executable, "-c", _RAN_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"  # importing the CLI runs none of them
+    if argv:
+        assert json.loads(lines[1])["command"] == argv[0]
+        assert lines[2] == repr(expected)
