@@ -14,13 +14,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+from . import perms
 from .linalg import SparseVector, _Combination, accumulate, format_sum, parse_rational
 from .perms import (
     ArityMismatch,
     Permutation,
     _trusted,
     all_permutations,
-    block_compose,
     format_permutation,
     identity,
     multiply,
@@ -113,7 +113,9 @@ def full_compose(theta: OperadElement, parts: Sequence[OperadElement]) -> Operad
     result = OperadElement(sum(p.arity for p in parts))
     result.terms = accumulate(
         (
-            block_compose(outer, [perm for perm, _ in combo]),
+            # through perms, so that this module holds no second reference
+            # for a wrapper of perms.block_compose to miss or leave behind
+            perms.block_compose(outer, [perm for perm, _ in combo]),
             math.prod((c for _, c in combo), start=coeff),
         )
         for outer, coeff in theta.terms.items()

@@ -710,3 +710,38 @@ def test_cli_runs_only_the_submodules_its_command_uses(argv, expected):
     if argv:
         assert json.loads(lines[1])["command"] == argv[0]
         assert lines[2] == repr(expected)
+
+
+# Records, when main() builds the parser, whether ideals has run yet and
+# whether argparse is loaded.
+_ORDER_PROBE = """
+import sys, oplab.cli
+build = oplab.cli.build_parser
+def probed():
+    ideals = object.__getattribute__(sys.modules["oplab.ideals"], "__dict__")
+    print("__builtins__" in ideals, "argparse" in sys.modules)
+    return build()
+oplab.cli.build_parser = probed
+oplab.cli.main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, ideals_first",
+    [
+        (["codim", "--algebra", '{"type":"matrix","k":1}', "--n", "2"], True),
+        (["cache", "list", "--cache-dir", "."], True),
+        (["phi", "--element", "1*(2,1)"], False),
+        (["--version"], False),
+    ],
+    ids=["codim", "cache", "phi", "not-a-command"],
+)
+def test_cli_runs_ideals_before_argparse_for_the_commands_that_use_it(argv, ideals_first):
+    # peak memory: compiling ideals with no bytecode cached takes a few MB
+    # of scratch, which the parser built afterwards reuses
+    import subprocess
+
+    done = subprocess.run(
+        [sys.executable, "-c", _ORDER_PROBE, *argv], capture_output=True, text=True
+    )
+    assert done.stdout.splitlines()[0] == f"{ideals_first} False"

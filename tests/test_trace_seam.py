@@ -46,3 +46,34 @@ def test_recorder_wraps_and_restores(monkeypatch):
         assert queries() == untraced
     finally:
         sys.modules.pop("spans", None)
+
+
+# A fresh interpreter, as a traced CLI child has: the recorder installs
+# right after `import oplab.cli`, before any submodule has run, so its own
+# lookups run them while it patches.
+_FRESH_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import oplab.cli, spans
+recorder = spans.Recorder()
+recorder.install()
+recorder.uninstall()
+print(sorted(
+    f"{owner.__name__}.{attr}"
+    for name, module in list(sys.modules.items())
+    if name == "oplab" or name.startswith("oplab.")
+    for owner in (module, *[v for v in vars(module).values() if isinstance(v, type)])
+    for attr, value in vars(owner).items()
+    if getattr(value, "__module__", None) == "spans"
+))
+"""
+
+
+def test_recorder_restores_every_original_from_a_cold_import():
+    import subprocess
+
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROBE, str(PERFBENCH)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"  # no oplab module or class keeps a wrapper
